@@ -9,14 +9,15 @@ representation decomposition.
 
 Conventions shared by every subcommand:
 
-* parameters come from an optional ``key = value`` config file plus flags;
-  flags win on conflict,
+* parameters come from flags and an optional ``key = value`` config file;
+  the file's values become the subcommand's argparse defaults, so they pass
+  through the same type converters as flags and a flag always wins,
 * a master ``--seed`` splits into independent per-trial streams keyed by
   (seed, scenario label, trial index), so re-running any configuration
   reproduces its metrics exactly,
 * every run emits a self-describing artifact -- CSV for sweep tables, JSON
-  for nested reports -- carrying a schema version and the resolved
-  configuration, written to ``--out`` or stdout,
+  for nested reports -- carrying a schema version (JSON artifacts also echo
+  every resolved parameter), written to ``--out`` or stdout,
 * validation happens before any computation; bad parameters exit with
   code 2 and budget overruns with code 3.
 """
@@ -28,10 +29,10 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -89,31 +90,16 @@ from .walks import (
 SCHEMA_VERSION = 1
 
 
-class ValidationError(ValueError):
-    """Unusable parameters; reported on stderr and mapped to exit code 2."""
+class ValidationError(ValueError, argparse.ArgumentTypeError):
+    """Unusable parameters; reported on stderr and mapped to exit code 2.
+
+    Raised by a flag's type converter, argparse reports it as a usage error
+    naming that flag.
+    """
 
 
 # --------------------------------------------------------------------------
 # configuration plumbing
-
-
-@dataclass
-class ExperimentConfig:
-    """Resolved inputs of one run: scenario name, string-valued parameters
-    (file values already overridden by flags), master seed and output sink."""
-
-    scenario: str
-    params: dict[str, str] = field(default_factory=dict)
-    seed: int = 0
-    out: Optional[Path] = None
-    workers: int = 1
-
-    def stream(self, label: str, trial: int):
-        return derive_rng(self.seed, label, trial)
-
-    def echo(self) -> dict:
-        """The configuration as written into every artifact."""
-        return dict(self.params, seed=str(self.seed), workers=str(self.workers))
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -134,82 +120,44 @@ def load_config_file(path) -> dict[str, str]:
     return out
 
 
-_COMMON_KEYS = {"config", "seed", "out", "workers", "func", "scenario"}
+def at_least(minimum):
+    """An integer converter rejecting values below ``minimum``."""
+
+    def bounded(text) -> int:
+        try:
+            value = int(text, 0)
+        except ValueError:
+            raise ValidationError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise ValidationError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return bounded
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file (if any) under the command-line flags."""
-    params = load_config_file(args.config) if args.config else {}
-    for key, value in vars(args).items():
-        if key in _COMMON_KEYS or value is None:
-            continue
-        params[key] = value
-    seed = _to_int(params.pop("seed", None) or args.seed or "0", "seed")
-    workers = _to_int(params.pop("workers", None) or args.workers or "1", "workers")
-    if workers < 1:
-        raise ValidationError("workers must be at least 1")
-    out = Path(args.out) if args.out else (Path(params.pop("out")) if "out" in params else None)
-    return ExperimentConfig(args.scenario, params, seed=seed, out=out, workers=workers)
+integer = at_least(-math.inf)
 
 
-def _to_int(text, name: str) -> int:
+def integer_list(text) -> list[int]:
+    """Comma-separated integers such as ``4,8,12``."""
+    values = [integer(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}")
+    return values
+
+
+def rational(text) -> Fraction:
     try:
-        return int(str(text), 0)
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be an integer, got {text!r}") from exc
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"expected a rational number, got {text!r}") from None
 
 
-def get_int(params, name, default=None, minimum=None) -> int:
-    if name not in params:
-        if default is None:
+def _require(args: argparse.Namespace, *names: str) -> None:
+    """Parameters without a default must come from a flag or the config file."""
+    for name in names:
+        if getattr(args, name) is None:
             raise ValidationError(f"missing required parameter --{name.replace('_', '-')}")
-        value = default
-    else:
-        value = _to_int(params[name], name)
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
-def get_int_list(params, name, default=None) -> list[int]:
-    if name not in params:
-        if default is None:
-            raise ValidationError(f"missing required parameter --{name.replace('_', '-')}")
-        return list(default)
-    parts = [p for p in str(params[name]).replace(" ", "").split(",") if p]
-    if not parts:
-        raise ValidationError(f"{name} must list at least one integer")
-    return [_to_int(p, name) for p in parts]
-
-
-def get_fraction(params, name, default=None) -> Fraction:
-    raw = params.get(name, default)
-    if raw is None:
-        raise ValidationError(f"missing required parameter --{name.replace('_', '-')}")
-    try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{name} must be a rational number, got {raw!r}") from exc
-
-
-def get_float(params, name, default=None) -> float:
-    raw = params.get(name, default)
-    if raw is None:
-        raise ValidationError(f"missing required parameter --{name.replace('_', '-')}")
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be a number, got {raw!r}") from exc
-
-
-def get_choice(params, name, choices, default=None) -> str:
-    raw = params.get(name, default)
-    if raw is None:
-        raise ValidationError(f"missing required parameter --{name.replace('_', '-')}")
-    value = str(raw).lower()
-    if value not in choices:
-        raise ValidationError(f"{name} must be one of {sorted(choices)}, got {raw!r}")
-    return value
 
 
 def parse_group(text) -> AbelianGroup:
@@ -265,40 +213,52 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 # artifact writing
 
 
-def emit_json(cfg: ExperimentConfig, results, wall_time_ms: float) -> dict:
+def _echo_value(value) -> str:
+    if isinstance(value, AbelianGroup):
+        return group_label(value)
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def emit_json(args: argparse.Namespace, results, wall_time_ms: float) -> dict:
     record = {
         "schema_version": SCHEMA_VERSION,
-        "scenario": cfg.scenario,
-        "config": cfg.echo(),
+        "scenario": args.scenario,
+        "config": {  # every resolved parameter, defaults included
+            key: _echo_value(value)
+            for key, value in vars(args).items()
+            if key not in ("scenario", "func", "config", "out")
+        },
         "results": results,
         "wall_time_ms": round(wall_time_ms, 3),
     }
     text = json.dumps(record, indent=2)
-    if cfg.out is not None:
-        cfg.out.write_text(text + "\n")
-        print(f"wrote {cfg.out}")
+    if args.out is not None:
+        args.out.write_text(text + "\n")
+        print(f"wrote {args.out}")
     else:
         print(text)
     return record
 
 
-def emit_csv(cfg: ExperimentConfig, fieldnames, rows) -> list[dict]:
+def emit_csv(args: argparse.Namespace, fieldnames, rows) -> list[dict]:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
     text = buf.getvalue()
-    if cfg.out is not None:
-        cfg.out.write_text(text)
-        print(f"wrote {len(rows)} row(s) to {cfg.out}")
+    if args.out is not None:
+        args.out.write_text(text)
+        print(f"wrote {len(rows)} row(s) to {args.out}")
     else:
         sys.stdout.write(text)
     return rows
 
 
-def _base_row(cfg: ExperimentConfig) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "scenario": cfg.scenario, "seed": cfg.seed}
+def _base_row(args: argparse.Namespace) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "scenario": args.scenario, "seed": args.seed}
 
 
 # --------------------------------------------------------------------------
@@ -316,21 +276,20 @@ def _spectrum_cell(report) -> str:
     return ";".join(f"{v:.6g}x{m}" for v, m in report.multiplicities)
 
 
-def cmd_spectra(cfg: ExperimentConfig) -> list[dict]:
-    p = cfg.params
-    family = get_choice(p, "family", {"wdelta", "odlsz", "subgrid"})
-    s = get_int(p, "s", minimum=2)
-    indep_k = get_int(p, "indep_k", default=2, minimum=1)
-    rows_mode = get_choice(p, "rows", {"canonical", "all"}, default="canonical")
+def cmd_spectra(args: argparse.Namespace) -> list[dict]:
+    _require(args, "family", "s")
+    family, s = args.family, args.s
     if family == "subgrid":
-        sizes = [s * s * k for k in get_int_list(p, "k")]
+        _require(args, "k")
+        sizes = [s * s * k for k in args.k]
     else:
-        sizes = get_int_list(p, "n")
+        _require(args, "n")
+        sizes = args.n
     rows = []
     for size in sizes:
         started = time.perf_counter()
         if family == "wdelta":
-            delta = parse_delta(p.get("delta", "balanced"), s, size)
+            delta = parse_delta(args.delta, s, size)
             walk = walk_from_distance(SliceSpec.balanced(s, size), delta)
             profile = ";".join(",".join(str(v) for v in row) for row in delta)
         elif family == "odlsz":
@@ -342,9 +301,9 @@ def cmd_spectra(cfg: ExperimentConfig) -> list[dict]:
             walk = walk_subgrid_identification(s, size // (s * s))
             profile = f"identify-k{size // (s * s)}"
         report = spectral_report(walk)
-        indep = independence_report(walk, indep_k, rows=rows_mode)
+        indep = independence_report(walk, args.indep_k, rows=args.rows)
         rows.append(
-            _base_row(cfg)
+            _base_row(args)
             | {
                 "family": family,
                 "s": s,
@@ -359,7 +318,7 @@ def cmd_spectra(cfg: ExperimentConfig) -> list[dict]:
                 "wall_time_ms": round(1000 * (time.perf_counter() - started), 3),
             }
         )
-    return emit_csv(cfg, SPECTRA_FIELDS, rows)
+    return emit_csv(args, SPECTRA_FIELDS, rows)
 
 
 # --------------------------------------------------------------------------
@@ -372,18 +331,17 @@ DISTANCE_FIELDS = [
 ]
 
 
-def cmd_distance(cfg: ExperimentConfig) -> list[dict]:
-    p = cfg.params
-    mode = get_choice(p, "mode", {"grid", "junta", "multislice"})
-    ns = get_int_list(p, "n")
-    ds = get_int_list(p, "d")
+def cmd_distance(args: argparse.Namespace) -> list[dict]:
+    _require(args, "mode", "n", "d")
+    mode = args.mode
     rows = []
-    for n in ns:
-        for d in ds:
+    for n in args.n:
+        for d in args.d:
             started = time.perf_counter()
-            row = _base_row(cfg) | {"mode": mode, "n": n, "d": d, "p": "", "group": ""}
+            row = _base_row(args) | {"mode": mode, "n": n, "d": d, "p": "", "group": ""}
             if mode == "grid":
-                prime = get_int(p, "p", minimum=2)
+                _require(args, "p")
+                prime = args.p
                 if not is_prime(prime):
                     raise ValidationError(f"p must be prime, got {prime}")
                 if d < 0:
@@ -398,8 +356,8 @@ def cmd_distance(cfg: ExperimentConfig) -> list[dict]:
                     "matches": minimum == formula,
                 }
             elif mode == "junta":
-                s = get_int(p, "s", minimum=2)
-                group = parse_group(p.get("group", "Z2"))
+                _require(args, "s")
+                s, group = args.s, args.group
                 count, achievers = grid_min_nonzero(s, n, d, group)
                 frac = Fraction(count, s**n)
                 row |= {
@@ -410,8 +368,9 @@ def cmd_distance(cfg: ExperimentConfig) -> list[dict]:
                     "matches": frac == Fraction(1, s**d),
                 }
             else:
-                s = get_int(p, "s", minimum=2)
-                prime = get_int(p, "p", default=2, minimum=2)
+                _require(args, "s")
+                s = args.s
+                prime = 2 if args.p is None else args.p
                 if not is_prime(prime):
                     raise ValidationError(f"p must be prime, got {prime}")
                 if n % s:
@@ -433,18 +392,18 @@ def cmd_distance(cfg: ExperimentConfig) -> list[dict]:
                 }
             row["wall_time_ms"] = round(1000 * (time.perf_counter() - started), 3)
             rows.append(row)
-    return emit_csv(cfg, DISTANCE_FIELDS, rows)
+    return emit_csv(args, DISTANCE_FIELDS, rows)
 
 
 # --------------------------------------------------------------------------
 # chi-vectors
 
 
-def cmd_chi_vectors(cfg: ExperimentConfig) -> dict:
-    p = cfg.params
-    s = get_int(p, "s", minimum=2)
-    n = get_int(p, "n", minimum=s)
-    lam2_max = get_int(p, "lam2_max", default=2, minimum=1)
+def cmd_chi_vectors(args: argparse.Namespace) -> dict:
+    _require(args, "s", "n")
+    s, n = args.s, args.n
+    if n < s:
+        raise ValidationError(f"n must be at least {s}, got {n}")
     if n % s:
         raise ValidationError(f"balanced slices need s | n, got s={s} n={n}")
     started = time.perf_counter()
@@ -454,7 +413,7 @@ def cmd_chi_vectors(cfg: ExperimentConfig) -> dict:
     uniform = [Fraction(1, size)] * size
     families = []
     for lam in partitions_dominating(mu):
-        if lam == (n,) or (len(lam) > 1 and lam[1] > lam2_max):
+        if lam == (n,) or (len(lam) > 1 and lam[1] > args.lam2_max):
             continue
         tabs = enumerate_ssyt(lam, mu)
         vectors = [chi_vector(lam, tab, s) for tab in tabs]
@@ -484,7 +443,7 @@ def cmd_chi_vectors(cfg: ExperimentConfig) -> dict:
         "all_sup_bounded": all(f["sup_within_bound"] for f in families),
         "min_gram_det": min((f["gram_det_float"] for f in families), default=None),
     }
-    return emit_json(cfg, results, 1000 * (time.perf_counter() - started))
+    return emit_json(args, results, 1000 * (time.perf_counter() - started))
 
 
 # --------------------------------------------------------------------------
@@ -497,14 +456,13 @@ def _cached_scheme(s: int, d: int, exponent: int):
 
 
 @lru_cache(maxsize=8)
-def _cached_gadget(n: int, s: int, d: int, rho_str: Optional[str]):
-    rho = Fraction(rho_str) if rho_str else None
-    return build_gadget(n, s, d, rho) if rho is not None else build_gadget(n, s, d)
+def _cached_gadget(n: int, s: int, d: int, rho: Optional[Fraction]):
+    return build_gadget(n, s, d) if rho is None else build_gadget(n, s, d, rho)
 
 
 def _correct_trial(payload) -> bool:
     """One Monte Carlo round; module-level so worker processes can run it."""
-    (alg, seed, trial, s, n, d, k, factors, rate, exponent, depth, rho_str) = payload
+    (alg, seed, trial, s, n, d, k, factors, rate, exponent, depth, rho) = payload
     rng = derive_rng(seed, f"correct:{alg}", trial)
     group = AbelianGroup(factors)
     truth = random_polynomial(s, n, d, group, rng)
@@ -518,15 +476,16 @@ def _correct_trial(payload) -> bool:
     elif alg == "torsion":
         got = torsion_correct(oracle, _cached_scheme(s, d, exponent), rng, x=x)
     elif alg == "base":
-        got = base_reduce(oracle, x, rng, gadget=_cached_gadget(n, s, d, rho_str))
+        got = base_reduce(oracle, x, rng, gadget=_cached_gadget(n, s, d, rho))
     else:
-        got = recursive_reduce(
-            oracle, x, depth, rng, gadget=_cached_gadget(n, s, d, rho_str)
-        )
+        got = recursive_reduce(oracle, x, depth, rng, gadget=_cached_gadget(n, s, d, rho))
     return got == truth.evaluate(x)
 
 
 def _map_trials(fn, payloads, workers: int):
+    """Run ``fn`` over ``payloads`` in order, on at most ``workers`` processes
+    and never more than the machine's CPUs or the number of payloads."""
+    workers = min(workers, os.cpu_count() or 1, len(payloads))
     if workers <= 1:
         return [fn(p) for p in payloads]
     chunk = max(1, len(payloads) // (4 * workers))
@@ -541,64 +500,59 @@ CORRECT_FIELDS = [
 ]
 
 
-def cmd_correct(cfg: ExperimentConfig) -> list[dict]:
-    p = cfg.params
-    alg = get_choice(p, "alg", {"subgrid", "torsion", "base", "recursive"})
-    s = get_int(p, "s", minimum=2)
-    d = get_int(p, "d", minimum=0)
-    trials = get_int(p, "trials", default=100, minimum=1)
-    rate = get_float(p, "rate", default="0")
+def cmd_correct(args: argparse.Namespace) -> list[dict]:
+    _require(args, "alg", "s", "d")
+    alg, s, d, trials, rate, rho = args.alg, args.s, args.d, args.trials, args.rate, args.rho
     if not 0 <= rate < 1:
         raise ValidationError(f"rate must lie in [0, 1), got {rate}")
+    if rho is not None and not 0 < rho < 1:
+        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
     k = exponent = depth = 0
-    rho_str = p.get("rho")
-    if rho_str is not None:
-        rho = get_fraction(p, "rho")
-        if not 0 < rho < 1:
-            raise ValidationError(f"rho must lie in (0, 1), got {rho}")
     if alg == "subgrid":
-        n = get_int(p, "n", minimum=2)
-        k = get_int(p, "k", minimum=1)
+        _require(args, "n", "k")
+        n, k = args.n, args.k
         if not d < k <= n:
             raise ValidationError(f"need d < k <= n, got d={d} k={k} n={n}")
-        group = parse_group(p.get("group", "Z2"))
+        group = args.group or AbelianGroup((2,))
         check_capacity(trials * s**k, "subgrid correction sweep")
         label = str(k)
         queries = s**k
     elif alg == "torsion":
         if s != 2:
             raise ValidationError("the torsion corrector handles the Boolean grid only")
-        exponent = get_int(p, "M", minimum=2)
-        group = parse_group(p.get("group", f"Z{exponent}"))
+        _require(args, "M")
+        exponent = args.M
+        group = args.group or AbelianGroup((exponent,))
         if exponent % group.exponent:
             raise ValidationError(
                 f"group exponent {group.exponent} must divide M={exponent}"
             )
         scheme = _cached_scheme(s, d, exponent)
-        n = get_int(p, "n", default=scheme.slice_length, minimum=1)
+        n = scheme.slice_length if args.n is None else args.n
         label = f"slice{scheme.slice_length}"
         queries = scheme.query_count
         check_capacity(trials * queries, "torsion correction sweep")
     else:
-        n = get_int(p, "n", minimum=1)
-        group = parse_group(p.get("group", "Z2"))
-        gadget = _cached_gadget(n, s, d, rho_str)
+        _require(args, "n")
+        n = args.n
+        group = args.group or AbelianGroup((2,))
+        gadget = _cached_gadget(n, s, d, rho)
         label = f"q{gadget.q}"
         queries = 3 * gadget.q
         if alg == "recursive":
-            depth = get_int(p, "depth", default=1, minimum=0)
+            depth = args.depth
             queries = (3 * gadget.q) ** depth
             label += f":depth{depth}"
         check_capacity(trials * max(queries, 1), "gadget correction sweep")
     started = time.perf_counter()
     payloads = [
-        (alg, cfg.seed, t, s, n, d, k, group.factors, rate, exponent, depth, rho_str)
+        (alg, args.seed, t, s, n, d, k, group.factors, rate, exponent, depth, rho)
         for t in range(trials)
     ]
-    outcomes = _map_trials(_correct_trial, payloads, cfg.workers)
+    outcomes = _map_trials(_correct_trial, payloads, args.workers)
     successes = sum(outcomes)
     low, high = wilson_interval(successes, trials)
-    row = _base_row(cfg) | {
+    row = _base_row(args) | {
         "alg": alg,
         "s": s,
         "n": n,
@@ -614,30 +568,22 @@ def cmd_correct(cfg: ExperimentConfig) -> list[dict]:
         "queries_per_call": queries,
         "wall_time_ms": round(1000 * (time.perf_counter() - started), 3),
     }
-    return emit_csv(cfg, CORRECT_FIELDS, [row])
+    return emit_csv(args, CORRECT_FIELDS, [row])
 
 
 # --------------------------------------------------------------------------
 # list-correct (two planted codewords at equal distance)
 
 
-def cmd_list_correct(cfg: ExperimentConfig) -> dict:
-    p = cfg.params
-    s = get_int(p, "s", default=2)
+def cmd_list_correct(args: argparse.Namespace) -> dict:
+    s, d, n, trials, points, eps = args.s, args.d, args.n, args.trials, args.points, args.eps
+    k_approx, ell, k_unique = args.k_approx, args.ell, args.k_unique
     if s != 2:
         raise ValidationError("the planted-pair scenario runs on the Boolean grid")
-    d = get_int(p, "d", default=1)
     if d != 1:
         raise ValidationError("the planted-pair scenario is a degree-1 experiment")
-    n = get_int(p, "n", default=10, minimum=4)
-    trials = get_int(p, "trials", default=20, minimum=1)
-    points = get_int(p, "points", default=5, minimum=1)
-    eps = get_fraction(p, "eps", default="1/5")
     if not 0 < eps < 1:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    k_approx = get_int(p, "k_approx", default=4, minimum=d + 1)
-    ell = get_int(p, "ell", default=4, minimum=1)
-    k_unique = get_int(p, "k_unique", default=3, minimum=d + 1)
     if max(k_approx, k_unique) > n:
         raise ValidationError("subgrid dimensions cannot exceed the ambient arity")
     group = AbelianGroup((2,))
@@ -647,7 +593,7 @@ def cmd_list_correct(cfg: ExperimentConfig) -> dict:
     tallies = {"both": 0, "first_only": 0, "second_only": 0, "neither": 0}
     total_queries = 0
     for trial in range(trials):
-        rng = cfg.stream("list-correct", trial)
+        rng = derive_rng(args.seed, "list-correct", trial)
         base = random_polynomial(s, n, d, group, rng)
         received = base + cross
         second = base + first_coord
@@ -692,7 +638,7 @@ def cmd_list_correct(cfg: ExperimentConfig) -> dict:
         "wilson_interval": [round(low, 6), round(high, 6)],
         "total_queries": total_queries,
     }
-    return emit_json(cfg, results, 1000 * (time.perf_counter() - started))
+    return emit_json(args, results, 1000 * (time.perf_counter() - started))
 
 
 # --------------------------------------------------------------------------
@@ -721,36 +667,29 @@ def _sampling_trial(payload) -> float:
     return sampling_deviation(random_subgrid(s, n, k, rng), membership)
 
 
-def cmd_sampling(cfg: ExperimentConfig) -> dict:
-    p = cfg.params
-    s = get_int(p, "s", default=2, minimum=2)
-    n = get_int(p, "n", minimum=2)
-    k = get_int(p, "k", minimum=1)
+def cmd_sampling(args: argparse.Namespace) -> dict:
+    _require(args, "n", "k")
+    s, n, k, kind, trials = args.s, args.n, args.k, args.set, args.trials
     if k > n:
         raise ValidationError(f"need k <= n, got k={k} n={n}")
-    kind = get_choice(p, "set", {"random", "slice"}, default="random")
     if kind == "slice" and n % s:
         raise ValidationError(f"the slice membership set needs s | n, got s={s} n={n}")
-    density = get_fraction(p, "density", default="1/2")
-    if not 0 < density < 1:
-        raise ValidationError(f"density must lie in (0, 1), got {density}")
-    trials = get_int(p, "trials", default=2000, minimum=1)
-    eps = get_float(p, "eps", default="0.2")
-    eta = get_float(p, "eta", default="0.1")
+    if not 0 < args.density < 1:
+        raise ValidationError(f"density must lie in (0, 1), got {args.density}")
     check_capacity(s**n, "ambient membership table")
     check_capacity(trials * s**k, "sampling sweep")
     started = time.perf_counter()
-    density_str = str(density)
-    payloads = [(s, n, k, kind, density_str, cfg.seed, t) for t in range(trials)]
-    deviations = np.asarray(_map_trials(_sampling_trial, payloads, cfg.workers))
-    membership = _membership_table(s, n, kind, density_str, cfg.seed)
-    freq_above = float(np.mean(deviations > eps))
+    density_str = str(args.density)
+    payloads = [(s, n, k, kind, density_str, args.seed, t) for t in range(trials)]
+    deviations = np.asarray(_map_trials(_sampling_trial, payloads, args.workers))
+    membership = _membership_table(s, n, kind, density_str, args.seed)
+    freq_above = float(np.mean(deviations > args.eps))
     results = {
         "s": s, "n": n, "k": k, "set": kind,
         "membership_density": float(membership.mean()),
         "trials": trials,
-        "eps": eps,
-        "eta": eta,
+        "eps": args.eps,
+        "eta": args.eta,
         "quantiles": {
             q: round(float(np.quantile(deviations, qq)), 6)
             for q, qq in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)]
@@ -758,33 +697,31 @@ def cmd_sampling(cfg: ExperimentConfig) -> dict:
         "max_deviation": round(float(deviations.max()), 6),
         "mean_deviation": round(float(deviations.mean()), 6),
         "freq_above_eps": freq_above,
-        "within_target": freq_above <= eta,
+        "within_target": freq_above <= args.eta,
     }
-    return emit_json(cfg, results, 1000 * (time.perf_counter() - started))
+    return emit_json(args, results, 1000 * (time.perf_counter() - started))
 
 
 # --------------------------------------------------------------------------
 # interp-set
 
 
-def cmd_interp_set(cfg: ExperimentConfig) -> dict:
-    p = cfg.params
-    s = get_int(p, "s", minimum=2)
-    d = get_int(p, "d", minimum=0)
-    r = get_int(p, "r", minimum=s)
-    m = get_int(p, "m", minimum=1)
-    n = get_int(p, "n", default=12, minimum=1)
-    checks = get_int(p, "checks", default=5, minimum=0)
-    group = parse_group(p.get("group", "Z6"))
+def cmd_interp_set(args: argparse.Namespace) -> dict:
+    _require(args, "s", "d", "r", "m")
+    s, d, r, m, n, checks = args.s, args.d, args.r, args.m, args.n, args.checks
+    if r < s:
+        raise ValidationError(f"r must be at least {s}, got {r}")
     if r % s:
         raise ValidationError(f"the block construction needs s | r, got s={s} r={r}")
     started = time.perf_counter()
-    iset = build_interpolating_set(s, d, r, m, rng=cfg.stream("interp-set:build", 0))
+    iset = build_interpolating_set(
+        s, d, r, m, rng=derive_rng(args.seed, "interp-set:build", 0)
+    )
     slack = max((abs(iset.weight_slack(b)) for b in iset.points), default=Fraction(0))
     matches = 0
     for i in range(checks):
-        rng = cfg.stream("interp-set:check", i)
-        truth = random_polynomial(s, n, d, group, rng)
+        rng = derive_rng(args.seed, "interp-set:check", i)
+        truth = random_polynomial(s, n, d, args.group, rng)
         value = iset.correct(NoisyOracle.exact(truth), rng)
         matches += value == truth.evaluate(bytes([1]) * n)
     results = {
@@ -801,25 +738,21 @@ def cmd_interp_set(cfg: ExperimentConfig) -> dict:
         "all_checks_passed": matches == checks,
         "queries_per_correction": len(iset.points),
     }
-    return emit_json(cfg, results, 1000 * (time.perf_counter() - started))
+    return emit_json(args, results, 1000 * (time.perf_counter() - started))
 
 
 # --------------------------------------------------------------------------
 # young-check
 
 
-def cmd_young_check(cfg: ExperimentConfig) -> dict:
-    p = cfg.params
-    s_values = get_int_list(p, "s", default=[2, 3])
-    cap = get_int(p, "cap", default=5000, minimum=1)
-    hook_max = get_int(p, "hook_max", default=10, minimum=1)
-    if any(s < 2 for s in s_values):
+def cmd_young_check(args: argparse.Namespace) -> dict:
+    if any(s < 2 for s in args.s):
         raise ValidationError("every s must be at least 2")
     started = time.perf_counter()
     identity_rows = []
-    for s in s_values:
+    for s in args.s:
         n = s
-        while slice_size(SliceSpec.balanced(s, n)) <= cap:
+        while slice_size(SliceSpec.balanced(s, n)) <= args.cap:
             lhs, rhs = young_rule_sides(s, n)
             identity_rows.append(
                 {"s": s, "n": n, "slice_size": rhs, "lhs": lhs, "equal": lhs == rhs}
@@ -827,7 +760,7 @@ def cmd_young_check(cfg: ExperimentConfig) -> dict:
             n += s
     partition_count = 0
     hook_ok = True
-    for n in range(1, hook_max + 1):
+    for n in range(1, args.hook_max + 1):
         for lam in partitions(n):
             partition_count += 1
             if count_syt(lam) != count_syt_backtrack(lam):
@@ -836,27 +769,25 @@ def cmd_young_check(cfg: ExperimentConfig) -> dict:
         "young_rule": identity_rows,
         "identity_holds_everywhere": all(r["equal"] for r in identity_rows),
         "hook_check": {
-            "max_n": hook_max,
+            "max_n": args.hook_max,
             "partitions": partition_count,
             "all_equal": hook_ok,
         },
         "all_ok": hook_ok and all(r["equal"] for r in identity_rows),
     }
-    return emit_json(cfg, results, 1000 * (time.perf_counter() - started))
+    return emit_json(args, results, 1000 * (time.perf_counter() - started))
 
 
 # --------------------------------------------------------------------------
 # parser and dispatch
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value file; flags override it")
-    sub.add_argument("--seed", help="master seed for every random stream")
-    sub.add_argument("--out", help="artifact path (default: stdout)")
-    sub.add_argument("--workers", help="parallel worker processes (default 1)")
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``multislice`` parser and its subcommand parsers by name.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    A flag without a default is either required by its command or only
+    read in some modes; the command checks it.
+    """
     parser = argparse.ArgumentParser(
         prog="multislice",
         description="Experiment harness for walks, distances and correction "
@@ -865,64 +796,121 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scenario", required=True)
 
     spectra = sub.add_parser("spectra", help="singular values of the slice walks")
-    for flag in ("--family", "--s", "--n", "--k", "--delta", "--rows", "--indep-k"):
-        spectra.add_argument(flag)
     spectra.set_defaults(func=cmd_spectra)
+    spectra.add_argument(
+        "--family", type=str.lower, choices=("wdelta", "odlsz", "subgrid")
+    )
+    spectra.add_argument("--s", type=at_least(2))
+    spectra.add_argument("--n", type=integer_list)
+    spectra.add_argument("--k", type=integer_list)
+    spectra.add_argument("--delta", default="balanced")
+    spectra.add_argument(
+        "--rows", type=str.lower, choices=("canonical", "all"), default="canonical"
+    )
+    spectra.add_argument("--indep-k", type=at_least(1), default=2)
 
     distance = sub.add_parser("distance", help="exhaustive minimum-distance tables")
-    for flag in ("--mode", "--s", "--p", "--n", "--d", "--group"):
-        distance.add_argument(flag)
     distance.set_defaults(func=cmd_distance)
+    distance.add_argument("--mode", type=str.lower, choices=("grid", "junta", "multislice"))
+    distance.add_argument("--s", type=at_least(2))
+    distance.add_argument("--p", type=at_least(2))
+    distance.add_argument("--n", type=integer_list)
+    distance.add_argument("--d", type=integer_list)
+    distance.add_argument("--group", type=parse_group, default="Z2")
 
     chi = sub.add_parser("chi-vectors", help="the special-vector battery")
-    for flag in ("--s", "--n", "--lam2-max"):
-        chi.add_argument(flag)
     chi.set_defaults(func=cmd_chi_vectors)
+    chi.add_argument("--s", type=at_least(2))
+    chi.add_argument("--n", type=integer)
+    chi.add_argument("--lam2-max", type=at_least(1), default=2)
 
     correct = sub.add_parser("correct", help="Monte Carlo correction success rates")
-    for flag in (
-        "--alg", "--s", "--n", "--d", "--k", "--group", "--rate", "--trials",
-        "--M", "--depth", "--rho",
-    ):
-        correct.add_argument(flag)
     correct.set_defaults(func=cmd_correct)
+    correct.add_argument(
+        "--alg", type=str.lower, choices=("subgrid", "torsion", "base", "recursive")
+    )
+    correct.add_argument("--s", type=at_least(2))
+    correct.add_argument("--n", type=at_least(1))
+    correct.add_argument("--d", type=at_least(0))
+    correct.add_argument("--k", type=at_least(1))
+    correct.add_argument("--group", type=parse_group)
+    correct.add_argument("--rate", type=float, default=0.0)
+    correct.add_argument("--trials", type=at_least(1), default=100)
+    correct.add_argument("--M", type=at_least(2))
+    correct.add_argument("--depth", type=at_least(0), default=1)
+    correct.add_argument("--rho", type=rational)
 
     lst = sub.add_parser("list-correct", help="recover two planted codewords")
-    for flag in (
-        "--s", "--n", "--d", "--eps", "--trials", "--points", "--k-approx",
-        "--ell", "--k-unique",
-    ):
-        lst.add_argument(flag)
     lst.set_defaults(func=cmd_list_correct)
+    lst.add_argument("--s", type=integer, default=2)
+    lst.add_argument("--n", type=at_least(4), default=10)
+    lst.add_argument("--d", type=integer, default=1)
+    lst.add_argument("--eps", type=rational, default=Fraction(1, 5))
+    lst.add_argument("--trials", type=at_least(1), default=20)
+    lst.add_argument("--points", type=at_least(1), default=5)
+    # both subgrid dimensions must exceed the degree d = 1
+    lst.add_argument("--k-approx", type=at_least(2), default=4)
+    lst.add_argument("--ell", type=at_least(1), default=4)
+    lst.add_argument("--k-unique", type=at_least(2), default=3)
 
     sampling = sub.add_parser("sampling", help="subgrid sampling deviation")
-    for flag in ("--s", "--n", "--k", "--set", "--density", "--trials", "--eps", "--eta"):
-        sampling.add_argument(flag)
     sampling.set_defaults(func=cmd_sampling)
+    sampling.add_argument("--s", type=at_least(2), default=2)
+    sampling.add_argument("--n", type=at_least(2))
+    sampling.add_argument("--k", type=at_least(1))
+    sampling.add_argument(
+        "--set", type=str.lower, choices=("random", "slice"), default="random"
+    )
+    sampling.add_argument("--density", type=rational, default=Fraction(1, 2))
+    sampling.add_argument("--trials", type=at_least(1), default=2000)
+    sampling.add_argument("--eps", type=float, default=0.2)
+    sampling.add_argument("--eta", type=float, default=0.1)
 
     interp = sub.add_parser("interp-set", help="build and verify an interpolating set")
-    for flag in ("--s", "--d", "--r", "--m", "--n", "--group", "--checks"):
-        interp.add_argument(flag)
     interp.set_defaults(func=cmd_interp_set)
+    interp.add_argument("--s", type=at_least(2))
+    interp.add_argument("--d", type=at_least(0))
+    interp.add_argument("--r", type=integer)
+    interp.add_argument("--m", type=at_least(1))
+    interp.add_argument("--n", type=at_least(1), default=12)
+    interp.add_argument("--group", type=parse_group, default="Z6")
+    interp.add_argument("--checks", type=at_least(0), default=5)
 
     young = sub.add_parser("young-check", help="counting identity and hook formula")
-    for flag in ("--s", "--cap", "--hook-max"):
-        young.add_argument(flag)
     young.set_defaults(func=cmd_young_check)
+    young.add_argument("--s", type=integer_list, default=[2, 3])
+    young.add_argument("--cap", type=at_least(1), default=5000)
+    young.add_argument("--hook-max", type=at_least(1), default=10)
 
     for command in sub.choices.values():
-        _add_common(command)
-    return parser
+        command.add_argument("--config", help="key = value file; flags override it")
+        command.add_argument(
+            "--seed", type=integer, default=0, help="master seed for every random stream"
+        )
+        command.add_argument("--out", type=Path, help="artifact path (default: stdout)")
+        command.add_argument(
+            "--workers", type=at_least(1), default=1,
+            help="parallel worker processes, at most the CPU count (default 1)",
+        )
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        args.func(cfg)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.config:
+            # The file's lines are parsed as the command's own flags, so they
+            # meet the same converters and checks; the result becomes the
+            # command's defaults, which any flag on the command line replaces.
+            command = commands[args.scenario]
+            file_flags = [
+                f"--{key.replace('_', '-')}={value}"
+                for key, value in load_config_file(args.config).items()
+            ]
+            command.set_defaults(**vars(command.parse_args(file_flags)))
+            args = parser.parse_args(argv)
+        args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

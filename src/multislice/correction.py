@@ -40,6 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .budget import check_capacity
+from .fields import prime_factorization
 from .groups import AbelianGroup
 from .juntas import (
     JuntaPolynomial,
@@ -107,6 +108,10 @@ class NoisyOracle:
     error_rate: Optional[float] = None
     seed: int = 0
     queries: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if self.error_rate and self.group.order == 1:
+            raise ValueError("random errors need a group with a nonzero element")
 
     @property
     def s(self) -> int:
@@ -715,16 +720,14 @@ def torsion_scheme(s: int, d: int, exponent: int) -> TorsionScheme:
         raise ValueError("exponent must be at least 2")
     if d < 0 or s < 2:
         raise ValueError("need s >= 2 and d >= 0")
-    from sympy import factorint
-
     powers = []
     k = 1
-    for p, rr in sorted(factorint(exponent).items()):
+    for p, rr in prime_factorization(exponent):
         sj = 1
         while p ** (rr * sj) <= d:
             sj += 1
-        powers.append((int(p), int(rr), sj))
-        k *= int(p) ** (3 * rr * sj)
+        powers.append((p, rr, sj))
+        k *= p ** (3 * rr * sj)
     k_prime = (s - 1) * k
     for p, rr, _ in powers:
         if kummer_valuation(k_prime + d, k_prime, p) != 0:

@@ -19,13 +19,25 @@ from .juntas import odlsz_delta
 from .slices import SliceSpec, enumerate_slice
 
 
+def prime_factorization(m: int) -> list[tuple[int, int]]:
+    """The pairs (p, r) with p^r exactly dividing m, by ascending trial division."""
+    factors = []
+    p = 2
+    while p * p <= m:
+        r = 0
+        while m % p == 0:
+            m //= p
+            r += 1
+        if r:
+            factors.append((p, r))
+        p += 1
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, int(p**0.5) + 1):
-        if p % q == 0:
-            return False
-    return True
+    return prime_factorization(p) == [(p, 1)]
 
 
 Exponents = tuple[int, ...]

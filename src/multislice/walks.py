@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import check_capacity
+from .budget import CapacityError, check_capacity
 from .slices import (
     Point,
     SliceSpec,
@@ -282,10 +282,6 @@ def frobenius_norm_squared(walk: WalkMatrix) -> Fraction:
     )
 
 
-def frobenius_norm(walk: WalkMatrix) -> float:
-    return math.sqrt(float(frobenius_norm_squared(walk)))
-
-
 @dataclass
 class SpectralReport:
     s: int
@@ -365,7 +361,7 @@ def respects_symmetries(
         try:
             check_capacity(cost, "exhaustive symmetry check")
             exhaustive = True
-        except Exception:
+        except CapacityError:
             exhaustive = False
     if exhaustive:
         check_capacity(cost, "exhaustive symmetry check")

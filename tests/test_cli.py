@@ -323,3 +323,80 @@ def test_json_artifact_written_to_file_is_self_describing(tmp_path, capsys):
     assert record["scenario"] == "young-check"
     assert record["config"]["cap"] == "10"
     assert record["config"]["seed"] == "9"
+
+
+def test_flags_beat_the_config_file_for_seed_and_workers(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\nworkers = 2\n")
+    argv = ["sampling", "--n", "10", "--k", "4", "--trials", "20", "--seed", "9",
+            "--workers", "1"]
+    with_file = run_json(capsys, argv + ["--config", str(cfg)])
+    assert with_file["config"]["seed"] == "9"
+    assert with_file["config"]["workers"] == "1"
+    assert with_file["results"] == run_json(capsys, argv)["results"]
+
+
+def test_config_echo_lists_every_resolved_parameter(capsys):
+    record = run_json(capsys, ["list-correct", "--n", "8", "--trials", "1", "--points", "2"])
+    assert record["config"] == {
+        "s": "2", "n": "8", "d": "1", "eps": "1/5", "trials": "1", "points": "2",
+        "k_approx": "4", "ell": "4", "k_unique": "3", "seed": "0", "workers": "1",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        (["young-check"], "trails = 9\n", "trails"),
+        (["young-check"], "cap = abc\n", "--cap"),
+        (["spectra"], "family = bogus\ns = 2\nn = 4\n", "--family"),
+        (["young-check", "--cap", "10"], "hook-max = 0\n", "--hook-max"),
+    ],
+)
+def test_bad_config_file_values_exit_2_naming_the_parameter(
+    tmp_path, capsys, argv, text, named
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(cfg)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
+    assert "Traceback" not in err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs the
+    work in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_worker_pool_is_capped_by_cpus_and_trials(monkeypatch, capsys):
+    import multislice.cli as cli
+
+    sizes = []
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
+    )
+    argv = ["sampling", "--n", "8", "--k", "3", "--workers", "64"]
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    record = run_json(capsys, argv + ["--trials", "10"])
+    assert record["config"]["workers"] == "64"
+    run_json(capsys, argv + ["--trials", "3"])
+    assert sizes == [4, 3]
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    serial = run_json(capsys, argv + ["--trials", "10"])
+    assert sizes == [4, 3]
+    assert serial["results"] == record["results"]

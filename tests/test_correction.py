@@ -143,6 +143,14 @@ def test_random_error_oracle_density_and_consistency():
         NoisyOracle.random_errors(truth, 1.0, seed=0)
 
 
+def test_random_errors_need_a_nontrivial_group():
+    trivial = AbelianGroup((1,))
+    truth = random_polynomial(2, 4, 1, trivial, derive_rng(13, "trivial"))
+    with pytest.raises(ValueError, match="nonzero element"):
+        NoisyOracle.random_errors(truth, 0.5, seed=0)
+    assert NoisyOracle.random_errors(truth, 0.0, seed=0).query(bytes(4)) == (0,)
+
+
 # ---------------------------------------------------------------------------
 # the error-reduction gadget
 
@@ -544,6 +552,16 @@ def test_torsion_scheme_divisibility_sweep():
                 scheme = torsion_scheme(s, d, exponent)
                 kp = (s - 1) * scheme.k
                 assert (scheme.multiplier * math.comb(kp + d, kp)) % exponent == 1
+
+
+def test_torsion_scheme_factors_the_exponent_like_sympy():
+    from sympy import factorint
+
+    for exponent in range(2, 65):
+        scheme = torsion_scheme(2, 1, exponent)
+        assert [(p, r) for p, r, _ in scheme.prime_powers] == sorted(
+            factorint(exponent).items()
+        )
 
 
 def test_torsion_scheme_rejects_trivial_exponent():

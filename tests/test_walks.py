@@ -273,6 +273,16 @@ def test_symmetry_check_sampled():
         respects_symmetries(walk, exhaustive=False)
 
 
+def test_symmetry_mode_choice_lets_unrelated_errors_through(monkeypatch):
+    def broken(cost, what):
+        raise RuntimeError("not a capacity problem")
+
+    walk = walk_from_distance(SPEC24, JOHNSON)
+    monkeypatch.setattr("multislice.walks.check_capacity", broken)
+    with pytest.raises(RuntimeError, match="not a capacity problem"):
+        respects_symmetries(walk, rng=derive_rng(3, "sym"), trials=10)
+
+
 def test_expander_mixing_check():
     walk = walk_from_distance(SPEC24, JOHNSON)
     for size in (0, 1, 3, 6):
