@@ -911,6 +911,14 @@ def main(argv=None) -> int:
             command.set_defaults(**vars(command.parse_args(file_flags)))
             args = parser.parse_args(argv)
         args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+    except BrokenPipeError:
+        # the reader went away; send the rest of the output nowhere so that
+        # the interpreter's own flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

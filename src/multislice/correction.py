@@ -49,7 +49,7 @@ from .juntas import (
     monomials_up_to,
 )
 from .seeding import derive_rng
-from .snf import solve_integer, unimodular_certificate, rational_rank
+from .snf import RowEchelon, solve_integer, unimodular_certificate
 from .subgrids import _grid_matrix, random_subgrid
 
 
@@ -241,7 +241,7 @@ def _zeroed_ball_coeffs(s: int, k: int, d: int, center: bytes) -> tuple[tuple[by
     around ``center``: only points obtained by zeroing at most d nonzero
     coordinates of the center carry weight.  This is the unique solution of the
     square ball system, so it agrees with :func:`ball_interpolation_coeffs`
-    entry for entry (tested), just without the Gaussian elimination."""
+    entry for entry (tested), just without solving the system."""
     support = [i for i, v in enumerate(center) if v]
     w = len(support)
     out = []
@@ -464,9 +464,12 @@ def hitting_set(r: int, d: int, interval, rng=None, size_cap: Optional[int] = No
     """A set of points of {0,1}^r with weights in ``interval`` on which no
     nonzero degree-<=d junta-polynomial over any abelian group can vanish.
 
-    Randomized greedy: grow until the point-by-monomial matrix has full column
-    rank, then keep adding until every invariant factor is 1 (the certificate;
-    exactly equivalent to the all-groups hitting property).
+    Randomized greedy over the candidates in a random order: one incremental
+    row echelon form over Q of the point-by-monomial matrix takes a candidate
+    iff its monomial row is independent of the rows chosen so far, until the
+    matrix has full column rank.  Then candidates are appended until every
+    invariant factor is 1 (the certificate; exactly equivalent to the
+    all-groups hitting property).
     """
     lo, hi = max(0, interval[0]), min(r, interval[1])
     if hi - lo + 1 < d + 1:
@@ -482,18 +485,16 @@ def hitting_set(r: int, d: int, interval, rng=None, size_cap: Optional[int] = No
     ]
     order = rng.permutation(len(candidates))
     monos = _boolean_monomials(r, d)
+    echelon = RowEchelon()
     chosen: list[bytes] = []
-    want = len(monos)
     for pos in order:
         cand = candidates[int(pos)]
-        trial = chosen + [cand]
-        if rational_rank(_monomial_rows(trial, monos)) > rational_rank(
-            _monomial_rows(chosen, monos)
-        ):
-            chosen = trial
-        if len(chosen) == want:
-            break
-    remaining = [candidates[int(p)] for p in order if candidates[int(p)] not in set(chosen)]
+        if echelon.add(_monomial_rows([cand], monos)[0]):
+            chosen.append(cand)
+            if len(chosen) == len(monos):
+                break
+    taken = set(chosen)
+    remaining = [candidates[int(p)] for p in order if candidates[int(p)] not in taken]
     while not unimodular_certificate(_monomial_rows(chosen, monos)):
         if not remaining or len(chosen) >= size_cap:
             raise SearchFailure(

@@ -26,6 +26,7 @@ import numpy as np
 from .budget import check_capacity
 from .groups import AbelianGroup
 from .slices import Point, SliceSpec, enumerate_slice, multinomial
+from .snf import RowEchelon, smith_decomposition, solve_smith
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -270,9 +271,11 @@ def ball_interpolation_coeffs(
     radius-d ball around ``center``, valid for every degree-<=d junta-sum over
     every abelian group.
 
-    Solved as an exact linear system on the monomial basis; both sides of the
-    identity are integer combinations of coefficients, so a rational solution
-    that happens to be integral certifies the identity for all groups.
+    Solved over the integers on the monomial basis with the Smith form: both
+    sides of the identity are integer combinations of coefficients, so an
+    integer solution certifies the identity for all groups.  Raises
+    ArithmeticError when the square system is singular (fewer invariant
+    factors than points) or has no integer solution.
     """
     if m < d:
         raise ValueError("need m >= d")
@@ -281,33 +284,15 @@ def ball_interpolation_coeffs(
     if len(monos) != len(ball):
         raise ArithmeticError("ball size does not match the monomial count")
     origin = bytes(m)
-    a_rows = [[Fraction(monomial_value(mono, b)) for b in ball] for mono in monos]
-    rhs = [Fraction(monomial_value(mono, origin)) for mono in monos]
-    sol = _solve_exact(a_rows, rhs)
-    out = {}
-    for b, v in zip(ball, sol):
-        if v.denominator != 1:
-            raise ArithmeticError("interpolation solution is not integral")
-        out[b] = int(v)
-    return out
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system by fraction-exact Gaussian elimination."""
-    k = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("interpolation system is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+    a_rows = [[monomial_value(mono, b) for b in ball] for mono in monos]
+    rhs = [monomial_value(mono, origin) for mono in monos]
+    smith = smith_decomposition(a_rows)
+    if not all(smith[1][i][i] for i in range(len(ball))):
+        raise ArithmeticError("interpolation system is singular")
+    sol = solve_smith(smith, rhs)
+    if sol is None:
+        raise ArithmeticError("interpolation solution is not integral")
+    return dict(zip(ball, sol))
 
 
 def random_polynomial(
@@ -359,35 +344,6 @@ def grid_min_nonzero(s: int, n: int, d: int, group: AbelianGroup) -> tuple[int, 
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
-def _slice_restriction_matrix(s: int, n: int, d: int, p: int) -> np.ndarray:
-    spec = SliceSpec.balanced(s, n)
-    pts = enumerate_slice(spec)
-    monos = monomials_up_to(s, n, d)
-    mat = np.zeros((len(monos), len(pts)), dtype=np.int8)
-    for r, mono in enumerate(monos):
-        for c, x in enumerate(pts):
-            mat[r, c] = monomial_value(mono, x)
-    return mat % p
-
-
-def _row_basis_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Independent rows of mat over F_p (returns the reduced pivot rows)."""
-    rows = [r.astype(np.int64) % p for r in mat]
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    for r in rows:
-        for b, c in zip(basis, pivots):
-            if r[c]:
-                r = (r - r[c] * b) % p
-        nz = np.nonzero(r)[0]
-        if len(nz):
-            c = int(nz[0])
-            r = (r * pow(int(r[c]), -1, p)) % p
-            basis.append(r)
-            pivots.append(c)
-    return np.array(basis, dtype=np.int64) if basis else np.zeros((0, mat.shape[1]), np.int64)
-
-
 def min_slice_nonzero_prime(s: int, n: int, d: int, p: int) -> tuple[int, int]:
     """Exhaustive minimum slice-nonzero count over all degree-<=d junta-sums
     with Z_p coefficients that are nonzero somewhere on the balanced slice.
@@ -397,11 +353,15 @@ def min_slice_nonzero_prime(s: int, n: int, d: int, p: int) -> tuple[int, int]:
     meet-in-the-middle walk over the F_p row space of the monomial restriction
     matrix.  Returns (minimum count, number of nonzero restrictions).
     """
-    basis = _row_basis_mod_p(_slice_restriction_matrix(s, n, d, p), p)
-    r, width = basis.shape
+    points = enumerate_slice(SliceSpec.balanced(s, n))
+    echelon = RowEchelon(p)
+    for mono in monomials_up_to(s, n, d):
+        echelon.add([monomial_value(mono, x) for x in points])
+    r, width = echelon.rank, len(points)
     total = p**r - 1
     if r == 0:
         raise ValueError("every polynomial in the family vanishes on the slice")
+    basis = np.array(echelon.rows, dtype=np.int64)
     check_capacity(p**r, "slice restriction scan")
     half = r // 2
     lo = _span_table(basis[:half], p)

@@ -1,5 +1,5 @@
-"""Integer Smith normal form with transform matrices, and exact linear algebra
-over the integers.
+"""The library's one exact linear-algebra module: the integer Smith normal
+form, integer solving, and row echelon form over Q and over F_p.
 
 An integer matrix A has a decomposition U A V = D with U, V unimodular and D
 diagonal, each diagonal entry dividing the next.  Keeping U and V around (which
@@ -9,6 +9,9 @@ divisible by the invariant factors, and a witness solution falls out of the
 transforms.  That witness is what turns "this point set hits every junta
 polynomial over every abelian group" from an existence claim into a checkable
 certificate.
+
+Ranks, row spaces and determinants over a field come from one incremental
+elimination, :class:`RowEchelon`; no other module eliminates.
 """
 
 from __future__ import annotations
@@ -128,24 +131,67 @@ def invariant_factors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-exact elimination."""
-    a = [[Fraction(v) for v in row] for row in matrix]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+class RowEchelon:
+    """Incremental reduced row echelon form over Q (exact ``Fraction``
+    arithmetic) or, given a prime ``p``, over F_p.
+
+    Stored rows have a 1 in their own pivot column and 0 in every other row's
+    pivot column.  The product of the pivots (over F_p, of their
+    representatives in [1, p)) and the parity of the pivot order are kept, so
+    a square matrix fed row by row yields its determinant from the same pass.
+    """
+
+    def __init__(self, p: Optional[int] = None):
+        self.p = p
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+        self.pivot_product = Fraction(1)
+        self.odd = False  # parity of the inversions in ``pivots``
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _sub(self, x: list, f, y: list) -> list:
+        """x - f*y, skipping the zeros of y: the rows here are sparse."""
+        p = self.p
+        if p:
+            return [(a - f * b) % p if b else a for a, b in zip(x, y)]
+        return [a - f * b if b else a for a, b in zip(x, y)]
+
+    def add(self, row: Sequence) -> bool:
+        """Reduce ``row`` by the stored rows and store it; True iff it is
+        independent of them."""
+        p = self.p
+        r = [v % p for v in row] if p else list(row)
+        for b, c in zip(self.rows, self.pivots):
+            if r[c]:
+                r = self._sub(r, r[c], b)
+        col = next((j for j, v in enumerate(r) if v), None)
+        if col is None:
+            return False
+        v = r[col]
+        if v != 1:
+            inv = pow(v, -1, p) if p else 1 / Fraction(v)
+            r = [a * inv % p for a in r] if p else [a * inv if a else a for a in r]
+        for i, b in enumerate(self.rows):
+            if b[col]:
+                self.rows[i] = self._sub(b, b[col], r)
+        self.odd ^= sum(c > col for c in self.pivots) % 2 == 1
+        self.pivot_product *= v
+        self.rows.append(r)
+        self.pivots.append(col)
+        return True
+
+
+def determinant(matrix: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square matrix over Q."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    echelon = RowEchelon()
+    if not all(echelon.add(row) for row in matrix):
+        return Fraction(0)
+    return -echelon.pivot_product if echelon.odd else echelon.pivot_product
 
 
 def solve_integer(
@@ -155,11 +201,18 @@ def solve_integer(
 
     Free coordinates are set to zero, so the witness is deterministic.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    return solve_smith(smith_decomposition(matrix), rhs)
+
+
+def solve_smith(
+    decomposition: tuple[IntMatrix, IntMatrix, IntMatrix], rhs: Sequence[int]
+) -> Optional[list[int]]:
+    """:func:`solve_integer` from the matrix's :func:`smith_decomposition`,
+    for callers that also read the invariant factors."""
+    u, d, v = decomposition
+    rows, cols = len(u), len(v)
     if len(rhs) != rows:
         raise ValueError("rhs length does not match the matrix")
-    u, d, v = smith_decomposition(matrix)
     ty = [sum(u[i][j] * rhs[j] for j in range(rows)) for i in range(rows)]
     t = [0] * cols
     for i in range(min(rows, cols)):
@@ -167,12 +220,10 @@ def solve_integer(
             if ty[i] % d[i][i]:
                 return None
             t[i] = ty[i] // d[i][i]
-    for i in range(min(rows, cols), rows):
-        if ty[i]:
+        elif ty[i]:
             return None
-    for i in range(cols):
-        if i < min(rows, cols) and not d[i][i] and ty[i]:
-            return None
+    if any(ty[cols:]):
+        return None
     return [sum(v[i][j] * t[j] for j in range(cols)) for i in range(cols)]
 
 

@@ -9,6 +9,7 @@ from math import factorial, prod, sqrt
 
 from .budget import check_capacity
 from .slices import Point, SliceSpec, enumerate_slice, slice_size
+from .snf import determinant
 
 
 def partitions(n, max_part=None):
@@ -257,7 +258,7 @@ def gram_det(vectors):
     """Exact determinant of the Gram matrix under the slice inner product."""
     k = len(vectors)
     gram = [[slice_inner_product(vectors[i], vectors[j]) for j in range(k)] for i in range(k)]
-    return _det_fraction(gram)
+    return determinant(gram)
 
 
 def gram_volume(vectors):
@@ -266,26 +267,6 @@ def gram_volume(vectors):
     if det < 0:
         raise ArithmeticError("Gram determinant cannot be negative")
     return sqrt(float(det))
-
-
-def _det_fraction(mat):
-    mat = [list(row) for row in mat]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1, 1) / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return det
 
 
 def mean_under(weights, vec):

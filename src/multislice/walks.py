@@ -135,18 +135,24 @@ def _accumulate(spec, delta, weight, rows_out, points, ranks):
             row[r] = row.get(r, Fraction(0)) + weight
 
 
-def walk_from_distance(spec: SliceSpec, delta) -> WalkMatrix:
-    """The distance walk W_delta: each row uniform over the points at
-    generalized Hamming distance exactly delta."""
-    delta = validate_profile(spec, delta)
-    deg = profile_degree(spec, delta)
-    n_points = slice_size(spec)
-    check_capacity(n_points * deg, "distance walk construction")
+def walk_from_terms(spec: SliceSpec, terms, what: str) -> WalkMatrix:
+    """The exact walk sum_i alpha_i W_{delta_i} for ``terms`` of (alpha_i,
+    delta_i); ``what`` names the construction in a capacity error."""
+    terms = [(Fraction(alpha), validate_profile(spec, delta)) for alpha, delta in terms]
+    degrees = [profile_degree(spec, delta) for _, delta in terms]
+    check_capacity(slice_size(spec) * sum(degrees), what)
     points = enumerate_slice(spec)
     ranks = rank_index(spec)
     rows_out: list[dict[int, Fraction]] = [dict() for _ in points]
-    _accumulate(spec, delta, Fraction(1, deg), rows_out, points, ranks)
+    for (alpha, delta), deg in zip(terms, degrees):
+        _accumulate(spec, delta, alpha / deg, rows_out, points, ranks)
     return WalkMatrix(spec, tuple(rows_out))
+
+
+def walk_from_distance(spec: SliceSpec, delta) -> WalkMatrix:
+    """The distance walk W_delta: each row uniform over the points at
+    generalized Hamming distance exactly delta."""
+    return walk_from_terms(spec, [(1, delta)], "distance walk construction")
 
 
 def convex_combine(terms: Sequence[tuple[Fraction, WalkMatrix]]) -> WalkMatrix:
@@ -210,17 +216,7 @@ def walk_odlsz(s: int, n: int) -> WalkMatrix:
     random bijection, draw y uniform in Z_s^m, and add y through the alignment
     (mod s).  Equals the convex combination given by :func:`odlsz_terms`."""
     spec = SliceSpec.balanced(s, n)
-    n_points = slice_size(spec)
-    terms = odlsz_terms(s, n)
-    cost = n_points * sum(profile_degree(spec, d) for _, d in terms)
-    check_capacity(cost, "letter-randomizing walk construction")
-    points = enumerate_slice(spec)
-    ranks = rank_index(spec)
-    rows_out: list[dict[int, Fraction]] = [dict() for _ in points]
-    for alpha, delta in terms:
-        deg = profile_degree(spec, delta)
-        _accumulate(spec, delta, alpha / deg, rows_out, points, ranks)
-    return WalkMatrix(spec, tuple(rows_out))
+    return walk_from_terms(spec, odlsz_terms(s, n), "letter-randomizing walk construction")
 
 
 def odlsz_step(a: Point, s: int, rng) -> Point:
@@ -263,17 +259,9 @@ def walk_subgrid_identification(s: int, k: int) -> WalkMatrix:
     """The walk on the balanced slice of S^(s^2*k) induced by pushing two
     independent small-slice points through one random s-to-1 identification."""
     spec = SliceSpec.balanced(s, s * s * k)
-    terms = subgrid_identification_terms(s, k)
-    n_points = slice_size(spec)
-    cost = n_points * sum(profile_degree(spec, d) for _, d in terms)
-    check_capacity(cost, "subgrid-identification walk construction")
-    points = enumerate_slice(spec)
-    ranks = rank_index(spec)
-    rows_out: list[dict[int, Fraction]] = [dict() for _ in points]
-    for alpha, delta in terms:
-        deg = profile_degree(spec, delta)
-        _accumulate(spec, delta, alpha / deg, rows_out, points, ranks)
-    return WalkMatrix(spec, tuple(rows_out))
+    return walk_from_terms(
+        spec, subgrid_identification_terms(s, k), "subgrid-identification walk construction"
+    )
 
 
 def frobenius_norm_squared(walk: WalkMatrix) -> Fraction:

@@ -4,9 +4,13 @@ codes, config-file precedence and cross-run reproducibility."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import multislice
 from multislice.cli import (
     ValidationError,
     load_config_file,
@@ -400,3 +404,20 @@ def test_worker_pool_is_capped_by_cpus_and_trials(monkeypatch, capsys):
     serial = run_json(capsys, argv + ["--trials", "10"])
     assert sizes == [4, 3]
     assert serial["results"] == record["results"]
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    """Output to a reader that has gone away, as in `multislice ... | head`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multislice.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes, so every write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "multislice.cli", "young-check", "--cap", "50"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

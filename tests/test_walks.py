@@ -13,6 +13,7 @@ from helpers import (
     marginal_closed_form,
     odlsz_exhaustive_row,
 )
+from multislice.budget import CapacityError
 from multislice.seeding import derive_rng
 from multislice.slices import (
     SliceSpec,
@@ -36,6 +37,7 @@ from multislice.walks import (
     subgrid_identification_terms,
     validate_profile,
     walk_from_distance,
+    walk_from_terms,
     walk_odlsz,
     walk_subgrid_identification,
 )
@@ -315,6 +317,23 @@ def test_mixtures_stay_doubly_stochastic(d1, d2):
     mix = convex_combine([(Fraction(1, 3), w1), (Fraction(2, 3), w2)])
     assert mix.is_doubly_stochastic()
     assert np.allclose(mix.dense().sum(axis=1), 1.0)
+
+
+def test_walk_from_terms_is_the_convex_combination_of_distance_walks(monkeypatch):
+    spec = SliceSpec.balanced(3, 6)
+    terms = odlsz_terms(3, 6)
+    walk = walk_from_terms(spec, terms, "odlsz")
+    assert walk == convex_combine([(a, walk_from_distance(spec, d)) for a, d in terms])
+    assert walk == walk_odlsz(3, 6)
+    with pytest.raises(ValueError):
+        walk_from_terms(spec, [(1, ((2, 0, 0), (2, 0, 0), (0, 2, 0)))], "bad")
+    # the capacity check charges every term once: 90 points x sum of degrees
+    cost = slice_size(spec) * sum(profile_degree(spec, d) for _, d in terms)
+    monkeypatch.setenv("MULTISLICE_BUDGET", str(cost - 1))
+    with pytest.raises(CapacityError, match=f"odlsz needs {cost} cells"):
+        walk_from_terms(spec, terms, "odlsz")
+    monkeypatch.setenv("MULTISLICE_BUDGET", str(cost))
+    assert walk_from_terms(spec, terms, "odlsz") == walk
 
 
 def test_cluster_values():
