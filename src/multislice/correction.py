@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ from .fields import prime_factorization
 from .groups import AbelianGroup
 from .juntas import (
     JuntaPolynomial,
-    enumerate_polynomials,
     grid_points,
     monomials_up_to,
 )
@@ -101,6 +100,12 @@ class NoisyOracle:
     Alternatively ``error_rate`` corrupts a pseudorandom point set of roughly
     that density: membership is a keyed hash of the point, so repeated queries
     are consistent and forks see the same corruption.
+
+    :meth:`query` answers one point with an element; :meth:`query_many`
+    answers a batch with element indices.  The batch path corrupts exactly
+    the points, with exactly the values, that the scalar path does (the
+    ``errors`` entry first, then the same keyed hash per point), and both add
+    one to ``queries`` per point.
     """
 
     truth: JuntaPolynomial
@@ -154,6 +159,14 @@ class NoisyOracle:
         key = self.seed.to_bytes(8, "little", signed=True)
         return hashlib.blake2b(x, digest_size=16, key=key).digest()
 
+    def _hop(self, x: bytes) -> int:
+        """Index of the element the random errors add at x (0: none); only
+        called with ``error_rate`` set."""
+        digest = self._hash(x)
+        if int.from_bytes(digest[:8], "little") / 2**64 >= self.error_rate:
+            return 0
+        return 1 + int.from_bytes(digest[8:], "little") % (self.group.order - 1)
+
     def query(self, x) -> tuple:
         self.queries += 1
         x = bytes(x)
@@ -161,13 +174,33 @@ class NoisyOracle:
             return self.errors[x]
         value = self.truth.evaluate(x)
         if self.error_rate:
-            digest = self._hash(x)
-            u = int.from_bytes(digest[:8], "little") / 2**64
-            if u < self.error_rate:
-                g = self.group
-                hop = 1 + int.from_bytes(digest[8:], "little") % (g.order - 1)
-                value = g.add(value, g.from_index(hop))
+            hop = self._hop(x)
+            if hop:
+                value = self.group.add(value, self.group.from_index(hop))
         return value
+
+    def query_many(self, points) -> np.ndarray:
+        """:meth:`query` at each row of a (B, n) uint8 array, as element
+        indices (:meth:`AbelianGroup.index` order)."""
+        points = np.asarray(points, dtype=np.uint8)
+        self.queries += len(points)
+        g = self.group
+        values = self.truth.evaluate_many(points)
+        if not (self.errors or self.error_rate):
+            return g.index_many(values)
+        raw, n = points.tobytes(), self.n
+        hops = np.zeros(len(points), dtype=np.int64)
+        explicit = {}
+        for row in range(len(points)):
+            x = raw[row * n:(row + 1) * n]
+            if x in self.errors:
+                explicit[row] = g.index(self.errors[x])
+            elif self.error_rate:
+                hops[row] = self._hop(x)
+        out = g.index_many((values + g.from_index_many(hops)) % np.array(g.factors))
+        for row, index in explicit.items():
+            out[row] = index
+        return out
 
 
 @dataclass
@@ -183,6 +216,15 @@ class FunctionOracle:
     def query(self, x) -> tuple:
         self.queries += 1
         return self.fn(bytes(x))
+
+    def query_many(self, points) -> np.ndarray:
+        """:meth:`query` at each row in order, as element indices; ``fn`` sees
+        the rows one by one, so any randomness it draws is drawn in the same
+        order as by scalar queries."""
+        points = np.asarray(points, dtype=np.uint8)
+        return np.array(
+            [self.group.index(self.query(row)) for row in points], dtype=np.int64
+        )
 
 
 def _plurality(values: Sequence[tuple]) -> tuple:
@@ -296,13 +338,12 @@ class Gadget:
         return tuple(out)
 
     def evaluate(self, oracle, a, rng) -> tuple:
-        """One gadget evaluation of P(a) through the oracle (q queries)."""
-        g = oracle.group
-        total = g.zero
-        for c, y in zip(self.coeffs, self.sample_shifts(rng)):
-            point = bytes((av + yv) % self.s for av, yv in zip(a, y))
-            total = g.add(total, g.scale(oracle.query(point), c))
-        return total
+        """One gadget evaluation of P(a) through the oracle (q queries, one
+        batch)."""
+        shifts = np.frombuffer(b"".join(self.sample_shifts(rng)), dtype=np.uint8)
+        anchor = np.frombuffer(bytes(a), dtype=np.uint8)
+        points = np.add(shifts.reshape(self.q, self.n), anchor, dtype=np.int64) % self.s
+        return oracle.group.linear_combination(self.coeffs, oracle.query_many(points))
 
 
 def build_gadget(n: int, s: int, d: int, rho) -> Gadget:
@@ -356,6 +397,8 @@ def recursive_reduce(f, x, depth: int, rng, *, gadget: Optional[Gadget] = None,
     def level(t: int, point: bytes) -> tuple:
         if t == 0:
             return f.query(point)
+        if t == 1:  # level 0 is f itself, which can answer a batch at once
+            return base_reduce(f, point, rng, gadget=gadget)
         inner = FunctionOracle(f.s, f.n, f.group, lambda p: level(t - 1, p))
         return base_reduce(inner, point, rng, gadget=gadget)
 
@@ -366,40 +409,87 @@ def recursive_reduce(f, x, depth: int, rng, *, gadget: Optional[Gadget] = None,
 # brute-force decoding on a small grid
 
 
+@dataclass(frozen=True, eq=False)
+class Codebook:
+    """Every degree-<=d junta-sum on [s]^k, in :func:`enumerate_polynomials`
+    order, one per row: ``coefficients`` holds the element index of each
+    monomial's coefficient (row i spells i in base |G|, most significant
+    first) and ``tables`` the truth table as element indices, both in the
+    smallest unsigned dtype that holds them.  :meth:`polynomial` builds a
+    row's polynomial on demand."""
+
+    s: int
+    k: int
+    group: AbelianGroup
+    monomials: tuple
+    coefficients: np.ndarray
+    tables: np.ndarray
+
+    @cached_property
+    def _elements(self) -> tuple:
+        return tuple(self.group.elements())
+
+    @cached_property
+    def _index_of(self) -> dict:
+        return {g: i for i, g in enumerate(self._elements)}
+
+    def polynomial(self, row: int) -> JuntaPolynomial:
+        elements = self._elements
+        coeffs = {
+            mono: elements[c]
+            for mono, c in zip(self.monomials, self.coefficients[row].tolist())
+            if c
+        }
+        return JuntaPolynomial.from_normal_form(self.s, self.k, self.group, coeffs)
+
+    def mismatches(self, table) -> np.ndarray:
+        """Per row, the number of grid points where the codeword differs from
+        the table: a grid-order sequence of elements, a point-keyed mapping of
+        elements, or a 1-D integer array of element indices."""
+        if isinstance(table, np.ndarray) and table.ndim == 1:
+            if table.dtype.kind not in "iu":
+                raise ValueError("an index table must have an integer dtype")
+            if len(table) and (table.min() < 0 or table.max() >= self.group.order):
+                raise ValueError("table entries must be elements of the group")
+            target = table
+        else:
+            if isinstance(table, dict):
+                table = [table[pt] for pt in grid_points(self.s, self.k)]
+            try:
+                target = np.array([self._index_of[tuple(v)] for v in table], dtype=np.int64)
+            except KeyError:
+                raise ValueError("table entries must be elements of the group") from None
+        if len(target) != self.s**self.k:
+            raise ValueError("table must cover the whole grid")
+        return (self.tables != target.astype(self.tables.dtype)).sum(axis=1)
+
+
 @lru_cache(maxsize=None)
-def _codebook(s: int, k: int, d: int, group: AbelianGroup):
-    """All degree-<=d junta-sums on [s]^k with their truth tables as an
-    (num_polys, s^k) array of element indices."""
-    n_monos = len(monomials_up_to(s, k, d))
-    total = group.order**n_monos
+def _codebook(s: int, k: int, d: int, group: AbelianGroup) -> Codebook:
+    """Compile the codebook: per cyclic factor f, the coefficient digits of
+    every row times the monomial indicators on the grid, mod f."""
+    monos = tuple(monomials_up_to(s, k, d))
+    order = group.order
+    total = order ** len(monos)
     check_capacity(total * s**k, "decoding codebook")
     grid = _grid_matrix(s, k)
-    polys = tuple(enumerate_polynomials(s, k, d, group))
-    factors = group.factors
-    tables = np.zeros((total, s**k), dtype=np.int64)
-    for row, poly in enumerate(polys):
-        per_factor = [np.zeros(s**k, dtype=np.int64) for _ in factors]
-        for mono, g in poly.coeffs.items():
-            mask = np.ones(s**k, dtype=bool)
-            for i, a in mono:
-                mask &= grid[:, i] == a
-            for t, (gv, f) in enumerate(zip(g, factors)):
-                per_factor[t][mask] += gv
-        idx = np.zeros(s**k, dtype=np.int64)
-        for vec, f in zip(per_factor, factors):
-            idx = idx * f + vec % f
-        tables[row] = idx
-    return polys, tables
-
-
-def _table_indices(table, s: int, k: int, group: AbelianGroup) -> np.ndarray:
-    if isinstance(table, dict):
-        seq = [table[pt] for pt in grid_points(s, k)]
-    else:
-        seq = list(table)
-    if len(seq) != s**k:
-        raise ValueError("table must cover the whole grid")
-    return np.array([group.index(v) for v in seq], dtype=np.int64)
+    indicators = np.array(
+        [(grid[:, [i for i, _ in mono]] == [a for _, a in mono]).all(axis=1)
+         for mono in monos]
+    )
+    places = order ** np.arange(len(monos) - 1, -1, -1, dtype=np.int64)
+    coefficients = (np.arange(total, dtype=np.int64)[:, None] // places) % order
+    element_digits = group.from_index_many(np.arange(order))
+    tables = np.zeros((total, s**k), dtype=np.min_scalar_type(order - 1))
+    place = order
+    for t, f in enumerate(group.factors):
+        place //= f
+        if f == 1:  # a trivial factor's digit is always 0
+            continue
+        acc = np.min_scalar_type(len(monos) * f)  # holds every sum, and f
+        digits = element_digits[coefficients, t].astype(acc)
+        tables += ((digits @ indicators.astype(acc)) % f).astype(tables.dtype) * place
+    return Codebook(s, k, group, monos, coefficients.astype(tables.dtype), tables)
 
 
 def brute_force_unique_decode(
@@ -407,11 +497,12 @@ def brute_force_unique_decode(
 ) -> Optional[JuntaPolynomial]:
     """The unique degree-<=d junta-sum at distance strictly below ``radius``
     from the table, or None.  Uniqueness is automatic for radius <= 1/(2 s^d);
-    if a larger radius admits several codewords, that is also None.
+    if a larger radius admits several codewords, that is also None.  The
+    table is a grid-order sequence of elements, a point-keyed mapping or an
+    array of element indices (what ``query_many`` returns).
     """
-    polys, tables = _codebook(s, k, d, group)
-    target = _table_indices(table, s, k, group)
-    mism = (tables != target[None, :]).sum(axis=1)
+    book = _codebook(s, k, d, group)
+    mism = book.mismatches(table)
     radius = Fraction(radius)
     threshold = radius * s**k  # strict: mismatches < threshold
     if threshold.denominator == 1:
@@ -421,7 +512,7 @@ def brute_force_unique_decode(
     hits = np.nonzero(mism <= allowed)[0]
     if len(hits) != 1:
         return None
-    return polys[int(hits[0])]
+    return book.polynomial(int(hits[0]))
 
 
 def subgrid_error_reduce(f, a, k: int, d: int, rng) -> tuple:
@@ -435,9 +526,8 @@ def subgrid_error_reduce(f, a, k: int, d: int, rng) -> tuple:
     if len(a) != f.n:
         raise ValueError(f"anchor has {len(a)} coordinates, oracle expects {f.n}")
     sub = random_subgrid(f.s, f.n, k, rng, anchor=a)
-    table = [f.query(bytes(row)) for row in sub.embed_all()]
     decoded = brute_force_unique_decode(
-        table, f.s, k, d, f.group, Fraction(1, 2 * f.s**d)
+        f.query_many(sub.embed_all()), f.s, k, d, f.group, Fraction(1, 2 * f.s**d)
     )
     if decoded is None:
         return f.group.zero
@@ -550,14 +640,12 @@ class InterpolatingSet:
         return rng.choice(self.k, size=n, p=self.coordinate_distribution())
 
     def correct(self, f, rng) -> tuple:
-        """Estimate P(1^n) through the oracle with one query per point."""
+        """Estimate P(1^n) through the oracle with one query per point, in
+        ``points`` order (one batch)."""
         assignment = self.sample_assignment(f.n, rng)
-        g = f.group
-        total = g.zero
-        for b in self.points:
-            x = bytes(b[j] for j in assignment)
-            total = g.add(total, g.scale(f.query(x), self.coeffs[b]))
-        return total
+        points = np.frombuffer(b"".join(self.points), dtype=np.uint8)
+        values = f.query_many(points.reshape(len(self.points), self.k)[:, assignment])
+        return f.group.linear_combination([self.coeffs[b] for b in self.points], values)
 
 
 def build_interpolating_set(s: int, d: int, r: int, m: int, rng=None) -> InterpolatingSet:
@@ -687,6 +775,14 @@ class TorsionScheme:
         """All weight-k points of {0,1}^{sk} as a dense uint8 matrix."""
         return _slice_matrix(self.slice_length, self.k)
 
+    @cached_property
+    def coefficient_vector(self) -> np.ndarray:
+        """:meth:`coefficient` of every row of :meth:`slice_matrix`."""
+        tail = self.slice_matrix()[:, self.slice_length - (self.k - self.d):]
+        vector = np.where(tail.all(axis=1), self.multiplier, 0)
+        vector.setflags(write=False)
+        return vector
+
     def support_points(self):
         """The points with nonzero coefficient: d free ones in front of a
         forced block of k-d trailing ones."""
@@ -753,6 +849,14 @@ def torsion_correct(f, scheme: TorsionScheme, rng, x=None) -> tuple:
 
     The oracle lives on the boolean cube.  With x given, coordinates where
     x_i = 0 are flipped on the way in, correcting at x instead of all-ones.
+
+    The slice is queried as one batch (``query_many``) and weighted by the
+    scheme's cached ``coefficient_vector``; the result, the query count and
+    the order of the queries are those of querying point by point.  Every
+    slice point is queried, although only the ``support_points`` carry
+    weight: C(sk, k) is the corrector's stated query complexity, which
+    callers count, and an oracle that draws randomness per query would see
+    fewer draws.
     """
     if f.s != 2:
         raise ValueError("torsion correction runs on a boolean-cube oracle")
@@ -765,14 +869,7 @@ def torsion_correct(f, scheme: TorsionScheme, rng, x=None) -> tuple:
     if x is not None and len(x) != n:
         raise ValueError(f"x has {len(x)} coordinates, oracle expects {n}")
     h = rng.integers(0, scheme.slice_length, size=n)
-    slice_pts = scheme.slice_matrix()
-    images = slice_pts[:, h]
+    images = scheme.slice_matrix()[:, h]
     if x is not None and bytes(x) != bytes([1]) * n:
         images = images ^ (np.frombuffer(bytes(x), dtype=np.uint8) ^ 1)[None, :]
-    total = group.zero
-    for row, image in zip(slice_pts, images):
-        value = f.query(image.tobytes())
-        c = scheme.coefficient(row.tobytes())
-        if c:
-            total = group.add(total, group.scale(value, c))
-    return total
+    return group.linear_combination(scheme.coefficient_vector, f.query_many(images))

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -80,6 +82,35 @@ class AbelianGroup:
             digits.append(i % f)
             i //= f
         return tuple(reversed(digits))
+
+    def index_many(self, values) -> np.ndarray:
+        """:meth:`index` of each row of a (B, r) array of reduced elements."""
+        out = np.zeros(len(values), dtype=np.int64)
+        for column, f in zip(np.asarray(values, dtype=np.int64).T, self.factors):
+            out = out * f + column
+        return out
+
+    def from_index_many(self, indices) -> np.ndarray:
+        """The elements at the given indices as a (B, r) array; the inverse of
+        :meth:`index_many`."""
+        rest = np.asarray(indices, dtype=np.int64)
+        columns = []
+        for f in reversed(self.factors):
+            columns.append(rest % f)
+            rest = rest // f
+        return np.stack(columns[::-1], axis=1)
+
+    def linear_combination(self, coeffs, indices) -> tuple[int, ...]:
+        """sum_i coeffs[i] * g_i for the elements g_i at ``indices``: the batch
+        form of :meth:`scale` and :meth:`add`.  Each coefficient is reduced
+        modulo the factor first (Python integers of any size included), so no
+        product or sum can overflow int64."""
+        digits = self.from_index_many(indices)
+        coeffs = np.asarray(coeffs)
+        return tuple(
+            int(((coeffs % f).astype(np.int64) * digits[:, t]).sum() % f)
+            for t, f in enumerate(self.factors)
+        )
 
     def random_element(self, rng) -> tuple[int, ...]:
         return tuple(int(rng.integers(f)) for f in self.factors)

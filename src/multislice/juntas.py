@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -70,6 +70,17 @@ class JuntaPolynomial:
         self.coeffs = clean
 
     @classmethod
+    def from_normal_form(
+        cls, s: int, n: int, group: AbelianGroup, coeffs: dict[Monomial, tuple[int, ...]]
+    ) -> "JuntaPolynomial":
+        """Wrap coefficients that are already in normal form (validated
+        sorted monomials, reduced nonzero elements) without checking them
+        again; for decoders that build many polynomials from tables."""
+        poly = cls.__new__(cls)
+        poly.s, poly.n, poly.group, poly.coeffs = s, n, group, coeffs
+        return poly
+
+    @classmethod
     def zero(cls, s: int, n: int, group: AbelianGroup) -> "JuntaPolynomial":
         return cls(s, n, group, {})
 
@@ -91,6 +102,33 @@ class JuntaPolynomial:
             if monomial_value(mono, x):
                 total = self.group.add(total, g)
         return total
+
+    @cached_property
+    def _compiled(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The monomials grouped by size: per group, the (m, size) coordinates
+        and letters and the (m, r) coefficients, one column per cyclic factor."""
+        by_size: dict[int, list[tuple[Monomial, tuple[int, ...]]]] = {}
+        for mono, g in self.coeffs.items():
+            by_size.setdefault(len(mono), []).append((mono, g))
+        out = []
+        for size, items in sorted(by_size.items()):
+            pairs = np.array([mono for mono, _ in items], dtype=np.int64).reshape(
+                len(items), size, 2)
+            coeffs = np.array([g for _, g in items], dtype=np.int64)
+            out.append((pairs[:, :, 0], pairs[:, :, 1].astype(np.uint8), coeffs))
+        return tuple(out)
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """:meth:`evaluate` at each row of a (B, n) uint8 array, as a (B, r)
+        array of reduced elements."""
+        points = np.asarray(points, dtype=np.uint8)
+        if points.ndim != 2 or points.shape[1] != self.n:
+            raise ValueError(f"points must form a (B, {self.n}) array")
+        total = np.zeros((len(points), len(self.group.factors)), dtype=np.int64)
+        for coords, letters, coeffs in self._compiled:
+            hit = (points[:, coords] == letters).all(axis=2)
+            total += hit.astype(np.int64) @ coeffs
+        return total % np.array(self.group.factors, dtype=np.int64)
 
     def __add__(self, other: "JuntaPolynomial") -> "JuntaPolynomial":
         self._check_compatible(other)

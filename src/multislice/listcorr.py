@@ -35,7 +35,6 @@ import numpy as np
 from .correction import (
     FunctionOracle,
     _codebook,
-    _table_indices,
     subgrid_error_reduce,
 )
 from .groups import AbelianGroup
@@ -55,16 +54,17 @@ def brute_force_list(
 ) -> list[JuntaPolynomial]:
     """All degree-<=d junta-sums within the given distance of the table,
     closest first.  The radius is inclusive, matching the list definition
-    delta(f, P) <= 1/s^d - eps; the unique decoder's radius is strict."""
-    polys, tables = _codebook(s, k, d, group)
-    target = _table_indices(table, s, k, group)
-    mism = (tables != target[None, :]).sum(axis=1)
+    delta(f, P) <= 1/s^d - eps; the unique decoder's radius is strict.  The
+    table is a grid-order sequence of elements, a point-keyed mapping or an
+    array of element indices."""
+    book = _codebook(s, k, d, group)
+    mism = book.mismatches(table)
     radius = Fraction(radius)
     if radius < 0:
         return []
     allowed = (radius * s**k).numerator // (radius * s**k).denominator
     hits = sorted(np.nonzero(mism <= allowed)[0], key=lambda i: (mism[i], i))
-    return [polys[int(i)] for i in hits]
+    return [book.polynomial(int(i)) for i in hits]
 
 
 def restrict_to_identification(table, ident: IdentificationMap) -> list:

@@ -4,7 +4,13 @@ library's own construction paths (brute force, closed forms, simulation)."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
+from multislice.budget import check_capacity
+from multislice.correction import FunctionOracle, _plurality
+from multislice.juntas import enumerate_polynomials, monomials_up_to
 from multislice.slices import SliceSpec, enumerate_slice, multinomial
+from multislice.subgrids import _grid_matrix, random_subgrid
 
 
 def odlsz_exhaustive_row(a: bytes, s: int) -> dict[bytes, Fraction]:
@@ -117,3 +123,108 @@ def doubly_stochastic_profiles(s: int, m: int):
 
     rec([], [m] * s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the batched correctors: one JuntaPolynomial per
+# codeword, and one oracle query per point
+
+
+def codebook_by_polynomials(s: int, k: int, d: int, group):
+    """Every degree-<=d junta-sum on [s]^k from ``enumerate_polynomials``, and
+    an int64 (num_polys, s^k) array of their truth tables as element indices,
+    built polynomial by polynomial."""
+    n_monos = len(monomials_up_to(s, k, d))
+    total = group.order**n_monos
+    check_capacity(total * s**k, "decoding codebook")
+    grid = _grid_matrix(s, k)
+    polys = tuple(enumerate_polynomials(s, k, d, group))
+    factors = group.factors
+    tables = np.zeros((total, s**k), dtype=np.int64)
+    for row, poly in enumerate(polys):
+        per_factor = [np.zeros(s**k, dtype=np.int64) for _ in factors]
+        for mono, g in poly.coeffs.items():
+            mask = np.ones(s**k, dtype=bool)
+            for i, a in mono:
+                mask &= grid[:, i] == a
+            for t, (gv, f) in enumerate(zip(g, factors)):
+                per_factor[t][mask] += gv
+        idx = np.zeros(s**k, dtype=np.int64)
+        for vec, f in zip(per_factor, factors):
+            idx = idx * f + vec % f
+        tables[row] = idx
+    return polys, tables
+
+
+def unique_decode_scalar(table, s: int, k: int, d: int, group, radius):
+    """The unique codeword at distance strictly below ``radius`` from a
+    grid-order table of elements, or None."""
+    polys, tables = codebook_by_polynomials(s, k, d, group)
+    target = np.array([group.index(v) for v in table], dtype=np.int64)
+    mism = (tables != target[None, :]).sum(axis=1)
+    threshold = Fraction(radius) * s**k
+    if threshold.denominator == 1:
+        allowed = int(threshold) - 1
+    else:
+        allowed = threshold.numerator // threshold.denominator
+    hits = np.nonzero(mism <= allowed)[0]
+    return polys[int(hits[0])] if len(hits) == 1 else None
+
+
+def subgrid_error_reduce_scalar(f, a, k: int, d: int, rng):
+    a = bytes(a)
+    sub = random_subgrid(f.s, f.n, k, rng, anchor=a)
+    table = [f.query(bytes(row)) for row in sub.embed_all()]
+    decoded = unique_decode_scalar(table, f.s, k, d, f.group, Fraction(1, 2 * f.s**d))
+    if decoded is None:
+        return f.group.zero
+    return decoded.evaluate(bytes(k))
+
+
+def gadget_evaluate_scalar(gadget, oracle, a, rng):
+    g = oracle.group
+    total = g.zero
+    for c, y in zip(gadget.coeffs, gadget.sample_shifts(rng)):
+        point = bytes((av + yv) % gadget.s for av, yv in zip(a, y))
+        total = g.add(total, g.scale(oracle.query(point), c))
+    return total
+
+
+def base_reduce_scalar(f, x, rng, gadget):
+    return _plurality([gadget_evaluate_scalar(gadget, f, x, rng) for _ in range(3)])
+
+
+def recursive_reduce_scalar(f, x, depth: int, rng, gadget):
+    def level(t: int, point: bytes):
+        if t == 0:
+            return f.query(point)
+        inner = FunctionOracle(f.s, f.n, f.group, lambda p: level(t - 1, p))
+        return base_reduce_scalar(inner, point, rng, gadget)
+
+    return level(depth, bytes(x))
+
+
+def interpolating_correct_scalar(iset, f, rng):
+    assignment = iset.sample_assignment(f.n, rng)
+    g = f.group
+    total = g.zero
+    for b in iset.points:
+        x = bytes(b[j] for j in assignment)
+        total = g.add(total, g.scale(f.query(x), iset.coeffs[b]))
+    return total
+
+
+def torsion_correct_scalar(f, scheme, rng, x=None):
+    n, group = f.n, f.group
+    h = rng.integers(0, scheme.slice_length, size=n)
+    slice_pts = scheme.slice_matrix()
+    images = slice_pts[:, h]
+    if x is not None and bytes(x) != bytes([1]) * n:
+        images = images ^ (np.frombuffer(bytes(x), dtype=np.uint8) ^ 1)[None, :]
+    total = group.zero
+    for row, image in zip(slice_pts, images):
+        value = f.query(image.tobytes())
+        c = scheme.coefficient(row.tobytes())
+        if c:
+            total = group.add(total, group.scale(value, c))
+    return total
