@@ -36,7 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -456,8 +455,8 @@ def _cached_scheme(s: int, d: int, exponent: int):
 
 
 @lru_cache(maxsize=8)
-def _cached_gadget(n: int, s: int, d: int, rho: Optional[Fraction]):
-    return build_gadget(n, s, d) if rho is None else build_gadget(n, s, d, rho)
+def _cached_gadget(n: int, s: int, d: int, rho: Fraction):
+    return build_gadget(n, s, d, rho)
 
 
 def _correct_trial(payload) -> bool:
@@ -533,7 +532,7 @@ def cmd_correct(args: argparse.Namespace) -> list[dict]:
         queries = scheme.query_count
         check_capacity(trials * queries, "torsion correction sweep")
     else:
-        _require(args, "n")
+        _require(args, "n", "rho")
         n = args.n
         group = args.group or AbelianGroup((2,))
         gadget = _cached_gadget(n, s, d, rho)

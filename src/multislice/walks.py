@@ -6,8 +6,9 @@ multislice.  The basic building block is the distance walk: fix a profile
 sums equal to ``m = n/s``); from a point ``a``, step to a uniformly random
 ``b`` whose generalized Hamming distance from ``a`` is exactly ``delta``.
 Richer walks (the letter-randomizing walk, the subgrid-identification walk)
-are convex combinations of distance walks and are built as such, exactly, with
-Fraction entries; floating point only enters when a spectrum is requested.
+are convex combinations of distance walks and are built as such, exactly, as
+integer numerators over one common denominator; floating point only enters
+when a spectrum is requested.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence
@@ -25,69 +27,165 @@ from .budget import CapacityError, check_capacity
 from .slices import (
     Point,
     SliceSpec,
-    apply_permutation,
     distance_matrix,
     enumerate_slice,
     multinomial,
-    rank_index,
     slice_size,
 )
 
 Profile = tuple[tuple[int, ...], ...]
 
 
-@dataclass
-class WalkMatrix:
-    """A stochastic matrix over a slice, stored as sparse rows of Fractions.
+def _int_dtype(bound: int):
+    """int64 when every value and partial sum stays below ``bound``, Python
+    ints (an object array) when ``bound`` reaches 2**63: never wrap."""
+    return np.int64 if bound < 2**63 else object
 
-    ``rows[i]`` maps column rank -> probability; ranks refer to the
-    lexicographic enumeration of ``spec``.
+
+@lru_cache(maxsize=None)
+def _slice_codes(spec: SliceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slice's points as an (N, n) uint8 array in rank order, the base-s
+    place value of each coordinate, and each point's base-s code.
+
+    Rank order is lexicographic, so the codes ascend and ``searchsorted``
+    on them ranks any word of the slice.  Memoized per spec, like
+    :func:`enumerate_slice`.
+    """
+    n = spec.n
+    points = enumerate_slice(spec)
+    arr = np.frombuffer(b"".join(points), dtype=np.uint8).reshape(len(points), n)
+    dtype = _int_dtype(spec.s**n)
+    place = np.array([spec.s ** (n - 1 - k) for k in range(n)], dtype=dtype)
+    return arr, place, arr.astype(dtype) @ place
+
+
+@dataclass(eq=False)
+class WalkMatrix:
+    """A matrix over a slice in CSR form: integer numerators over one common
+    denominator.
+
+    Row ``i`` holds ``num[indptr[i]:indptr[i+1]] / den`` at the column ranks
+    ``indices[indptr[i]:indptr[i+1]]``, ascending; ranks refer to the
+    lexicographic enumeration of ``spec``.  ``num`` and ``den`` share no
+    common factor, so equal walks have equal arrays.  ``num`` is int64 while
+    every row and column sum fits, and an object array of Python ints
+    otherwise.  A stored entry may be zero.
     """
 
     spec: SliceSpec
-    rows: tuple[dict[int, Fraction], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    num: np.ndarray
+    den: int
+
+    @classmethod
+    def _canonical(cls, spec, indptr, indices, num, den) -> "WalkMatrix":
+        """Reduce ``num / den`` by their gcd and pick the numerator dtype."""
+        g = math.gcd(den, int(np.gcd.reduce(num)) if len(num) else 0)
+        if g > 1:
+            num, den = num // g, den // g
+        max_abs = int(np.abs(num).max()) if len(num) else 0
+        dtype = _int_dtype(max(den, max_abs * len(num)))
+        return cls(spec, indptr, indices, num.astype(dtype), den)
+
+    @classmethod
+    def _from_coo(cls, spec, rows, cols, num, den) -> "WalkMatrix":
+        """The walk with entries ``num / den`` at ``(rows, cols)``, summing
+        repeated positions."""
+        size = slice_size(spec)
+        keys = rows * size + cols
+        order = np.argsort(keys, kind="stable")
+        keys, num = keys[order], num[order]
+        if len(keys):
+            keys, start = np.unique(keys, return_index=True)
+            num = np.add.reduceat(num, start)
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
+        return cls._canonical(spec, indptr, keys % size, num, den)
+
+    @classmethod
+    def from_rows(cls, spec: SliceSpec, rows: Sequence[dict[int, Fraction]]) -> "WalkMatrix":
+        """The walk whose row ``i`` maps column rank -> exact value ``rows[i]``."""
+        size = slice_size(spec)
+        if len(rows) != size:
+            raise ValueError(f"expected {size} rows, got {len(rows)}")
+        entries = [(i, j, Fraction(v)) for i, row in enumerate(rows) for j, v in row.items()]
+        if any(not 0 <= j < size for _, j, _ in entries):
+            raise ValueError("column indices must be point ranks")
+        den = math.lcm(*(v.denominator for _, _, v in entries))
+        return cls._from_coo(
+            spec,
+            np.array([i for i, _, _ in entries], dtype=np.int64),
+            np.array([j for _, j, _ in entries], dtype=np.int64),
+            np.array([v.numerator * (den // v.denominator) for _, _, v in entries], dtype=object),
+            den,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WalkMatrix):
+            return NotImplemented
+        return (
+            self.spec == other.spec
+            and self.den == other.den
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.num, other.num)
+        )
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.indptr) - 1
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, Fraction(0))
+    @property
+    def rows(self) -> tuple[dict[int, Fraction], ...]:
+        """One ``{column rank: Fraction}`` dict per row, rebuilt on each access."""
+        bounds = zip(self.indptr[:-1], self.indptr[1:])
+        return tuple(
+            {int(j): Fraction(int(v), self.den) for j, v in zip(self.indices[a:b], self.num[a:b])}
+            for a, b in bounds
+        )
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr))
 
     def dense(self) -> np.ndarray:
         check_capacity(self.size * self.size, "dense walk matrix")
         out = np.zeros((self.size, self.size))
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                out[i, j] = float(v)
+        max_abs = int(np.abs(self.num).max()) if len(self.num) else 0
+        if max(max_abs, self.den) < 2**53:
+            # both sides convert exactly, so the division rounds like float(Fraction)
+            values = self.num.astype(np.float64) / float(self.den)
+        else:
+            values = np.array([int(v) / self.den for v in self.num], dtype=np.float64)
+        out[self.row_ids(), self.indices] = values
         return out
 
     def transpose(self) -> "WalkMatrix":
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.size)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return WalkMatrix(self.spec, tuple(cols))
+        return WalkMatrix._from_coo(self.spec, self.indices, self.row_ids(), self.num, self.den)
+
+    def _sums(self, index: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.size, dtype=self.num.dtype)
+        np.add.at(out, index, self.num)
+        return out
 
     def is_stochastic(self) -> bool:
-        one = Fraction(1)
-        return all(sum(row.values(), Fraction(0)) == one for row in self.rows)
+        return bool(np.all(self._sums(self.row_ids()) == self.den))
 
     def is_doubly_stochastic(self) -> bool:
-        if not self.is_stochastic():
-            return False
-        col_sums = [Fraction(0)] * self.size
-        for row in self.rows:
-            for j, v in row.items():
-                col_sums[j] += v
-        return all(c == 1 for c in col_sums)
+        return self.is_stochastic() and bool(np.all(self._sums(self.indices) == self.den))
 
     def is_symmetric(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                if self.rows[j].get(i, Fraction(0)) != v:
-                    return False
-        return True
+        """Whether the matrix equals its transpose (a stored zero counts as
+        absent)."""
+        nonzero = self.num != 0
+        rows, cols, num = self.row_ids()[nonzero], self.indices[nonzero], self.num[nonzero]
+        flipped = cols * self.size + rows
+        order = np.argsort(flipped, kind="stable")
+        return bool(
+            np.array_equal(flipped[order], rows * self.size + cols)
+            and np.array_equal(num[order], num)
+        )
 
 
 def validate_profile(spec: SliceSpec, delta: Sequence[Sequence[int]]) -> Profile:
@@ -114,25 +212,23 @@ def profile_degree(spec: SliceSpec, delta: Profile) -> int:
     return prod(multinomial(spec.m, row) for row in delta)
 
 
-def _accumulate(spec, delta, weight, rows_out, points, ranks):
-    """Add ``weight`` times the distance-delta walk into sparse rows."""
-    s, m, n = spec.s, spec.m, spec.n
-    arrangements = [
-        enumerate_slice(SliceSpec(s, m, tuple(row))) for row in delta
-    ]
-    for idx, a in enumerate(points):
-        positions: list[list[int]] = [[] for _ in range(s)]
-        for i, v in enumerate(a):
-            positions[v].append(i)
-        row = rows_out[idx]
-        for combo in itertools.product(*arrangements):
-            b = bytearray(n)
-            for sigma in range(s):
-                word = combo[sigma]
-                for t, p in enumerate(positions[sigma]):
-                    b[p] = word[t]
-            r = ranks[bytes(b)]
-            row[r] = row.get(r, Fraction(0)) + weight
+def _neighbour_ranks(spec: SliceSpec, delta: Profile, positions: np.ndarray) -> np.ndarray:
+    """(N, degree) ranks of every point's neighbours at distance ``delta``.
+
+    Letter class ``sigma`` of point ``a`` (its positions, ascending, from
+    ``positions``) receives each arrangement word of ``delta[sigma]``; the
+    neighbour's code is the sum over classes of the word's letters times the
+    place values of those positions.  Columns run over the arrangement
+    combinations in ``itertools.product`` order.
+    """
+    s, m = spec.s, spec.m
+    points, place, codes = _slice_codes(spec)
+    code = np.zeros((len(points), 1), dtype=codes.dtype)
+    for sigma, row in enumerate(delta):
+        words = _slice_codes(SliceSpec(s, m, row))[0]
+        part = place[positions[:, sigma * m : (sigma + 1) * m]] @ words.T.astype(codes.dtype)
+        code = (code[:, :, None] + part[:, None, :]).reshape(len(points), -1)
+    return np.searchsorted(codes, code)
 
 
 def walk_from_terms(spec: SliceSpec, terms, what: str) -> WalkMatrix:
@@ -141,12 +237,26 @@ def walk_from_terms(spec: SliceSpec, terms, what: str) -> WalkMatrix:
     terms = [(Fraction(alpha), validate_profile(spec, delta)) for alpha, delta in terms]
     degrees = [profile_degree(spec, delta) for _, delta in terms]
     check_capacity(slice_size(spec) * sum(degrees), what)
-    points = enumerate_slice(spec)
-    ranks = rank_index(spec)
-    rows_out: list[dict[int, Fraction]] = [dict() for _ in points]
-    for (alpha, delta), deg in zip(terms, degrees):
-        _accumulate(spec, delta, alpha / deg, rows_out, points, ranks)
-    return WalkMatrix(spec, tuple(rows_out))
+    # distinct profiles have disjoint supports, so once repeats are merged
+    # every entry is written exactly once
+    merged: dict[Profile, Fraction] = {}
+    for alpha, delta in terms:
+        merged[delta] = merged.get(delta, Fraction(0)) + alpha
+    values = {delta: alpha / profile_degree(spec, delta) for delta, alpha in merged.items()}
+    den = math.lcm(*(v.denominator for v in values.values()))
+    points = _slice_codes(spec)[0]
+    positions = np.argsort(points, axis=1, kind="stable")
+    cols = [_neighbour_ranks(spec, delta, positions) for delta in merged]
+    block = [v.numerator * (den // v.denominator) for v in values.values()]
+    width = sum(c.shape[1] for c in cols)
+    dtype = _int_dtype(max([den] + [abs(v) * len(points) * width for v in block]))
+    per_col = np.repeat(np.array(block, dtype=dtype), [c.shape[1] for c in cols])
+    cols = np.concatenate(cols or [np.zeros((len(points), 0), dtype=np.int64)], axis=1)
+    order = np.argsort(cols, axis=1)
+    indptr = np.arange(len(points) + 1, dtype=np.int64) * width
+    return WalkMatrix._canonical(
+        spec, indptr, np.take_along_axis(cols, order, axis=1).ravel(), per_col[order].ravel(), den
+    )
 
 
 def walk_from_distance(spec: SliceSpec, delta) -> WalkMatrix:
@@ -167,16 +277,18 @@ def convex_combine(terms: Sequence[tuple[Fraction, WalkMatrix]]) -> WalkMatrix:
         raise ValueError("weights must sum to exactly 1")
     if any(walk.spec != spec for _, walk in terms):
         raise ValueError("walks must share a slice")
-    size = terms[0][1].size
-    rows_out: list[dict[int, Fraction]] = [dict() for _ in range(size)]
-    for w, walk in terms:
-        if w == 0:
-            continue
-        for i, row in enumerate(walk.rows):
-            out = rows_out[i]
-            for j, v in row.items():
-                out[j] = out.get(j, Fraction(0)) + w * v
-    return WalkMatrix(spec, tuple(rows_out))
+    used = [(w, walk) for w, (_, walk) in zip(weights, terms) if w != 0]
+    den = math.lcm(*(w.denominator * walk.den for w, walk in used))
+    return WalkMatrix._from_coo(
+        spec,
+        np.concatenate([walk.row_ids() for _, walk in used]),
+        np.concatenate([walk.indices for _, walk in used]),
+        np.concatenate([
+            walk.num.astype(object) * (w.numerator * (den // (w.denominator * walk.den)))
+            for w, walk in used
+        ]),
+        den,
+    )
 
 
 def frequency_vectors(s: int, m: int):
@@ -265,9 +377,8 @@ def walk_subgrid_identification(s: int, k: int) -> WalkMatrix:
 
 
 def frobenius_norm_squared(walk: WalkMatrix) -> Fraction:
-    return sum(
-        (v * v for row in walk.rows for v in row.values()), Fraction(0)
-    )
+    num = walk.num.astype(object)
+    return Fraction(int(num @ num), walk.den**2)
 
 
 @dataclass
@@ -335,56 +446,51 @@ def respects_symmetries(
 ) -> SymmetryReport:
     """Check W(pi a, pi b) == W(a, b) for coordinate permutations pi.
 
-    Exhaustive mode runs all n! permutations and compares whole rows exactly;
-    sampled mode draws (pi, a, b) triples.  When ``exhaustive`` is None the
-    mode is chosen by the capacity budget.
+    Exhaustive mode runs all n! permutations and compares the whole matrix
+    exactly; sampled mode draws (pi, a, b) triples.  When ``exhaustive`` is
+    None the mode is chosen by the capacity budget.
     """
     spec = walk.spec
     n = spec.n
-    points = enumerate_slice(spec)
-    ranks = rank_index(spec)
-    support = sum(len(r) for r in walk.rows)
-    cost = math.factorial(n) * (len(points) * n + support)
+    n_points = walk.size
+    cost = math.factorial(n) * (n_points * n + len(walk.indices))
     if exhaustive is None:
         try:
             check_capacity(cost, "exhaustive symmetry check")
             exhaustive = True
         except CapacityError:
             exhaustive = False
+    points, place, codes = _slice_codes(spec)
+    row_ids = walk.row_ids()
+    keys = row_ids * n_points + walk.indices
     if exhaustive:
         check_capacity(cost, "exhaustive symmetry check")
-        checked = violations = 0
+        violations = 0
         for pi in itertools.permutations(range(n)):
-            index_map = [ranks[apply_permutation(pi, x)] for x in points]
-            checked += 1
-            for i, row in enumerate(walk.rows):
-                target = walk.rows[index_map[i]]
-                if len(target) != len(row):
-                    violations += 1
-                    break
-                ok = True
-                for j, v in row.items():
-                    if target.get(index_map[j]) != v:
-                        ok = False
-                        break
-                if not ok:
-                    violations += 1
-                    break
-        return SymmetryReport(checked, violations, True)
+            # apply_permutation(pi, x) has code sum_i x[i] * place[pi[i]]
+            index_map = np.searchsorted(codes, points @ place[list(pi)])
+            mapped = index_map[row_ids] * n_points + index_map[walk.indices]
+            order = np.argsort(mapped)
+            if not (np.array_equal(mapped[order], keys) and np.array_equal(walk.num[order], walk.num)):
+                violations += 1
+        return SymmetryReport(math.factorial(n), violations, True)
     if rng is None:
         raise ValueError("sampled symmetry check needs an rng")
-    checked = violations = 0
-    n_points = len(points)
-    for _ in range(trials):
-        pi = tuple(int(v) for v in rng.permutation(n))
-        i = int(rng.integers(n_points))
-        j = int(rng.integers(n_points))
-        pi_i = ranks[apply_permutation(pi, points[i])]
-        pi_j = ranks[apply_permutation(pi, points[j])]
-        checked += 1
-        if walk.entry(pi_i, pi_j) != walk.entry(i, j):
-            violations += 1
-    return SymmetryReport(checked, violations, False)
+    pis = np.empty((trials, n), dtype=np.int64)
+    pairs = np.empty((2, trials), dtype=np.int64)
+    for t in range(trials):
+        pis[t] = rng.permutation(n)
+        pairs[0, t] = rng.integers(n_points)
+        pairs[1, t] = rng.integers(n_points)
+    images = [np.searchsorted(codes, (points[p] * place[pis]).sum(axis=1)) for p in pairs]
+    wanted = np.concatenate([pairs[0] * n_points + pairs[1], images[0] * n_points + images[1]])
+    at = np.searchsorted(keys, wanted)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == wanted[found]
+    values = np.zeros(len(wanted), dtype=walk.num.dtype)
+    values[found] = walk.num[at[found]]
+    violations = int(np.count_nonzero(values[:trials] != values[trials:]))
+    return SymmetryReport(trials, violations, False)
 
 
 @dataclass
@@ -402,35 +508,42 @@ def independence_report(walk: WalkMatrix, k: int, rows: str = "all") -> Independ
     ``rows="canonical"`` marginalizes only the lexicographically-first row;
     for walks that pass the symmetry check this gives the same maximum, since
     coordinate permutations act transitively on the slice and permute the
-    subsets T.
+    subsets T.  Ties go to the first (row, subset) in scan order.
     """
-    spec = walk.spec
-    points = enumerate_slice(spec)
-    row_indices = range(len(points)) if rows == "all" else [0]
     if rows not in ("all", "canonical"):
         raise ValueError("rows must be 'all' or 'canonical'")
-    worst = Fraction(0)
-    worst_row = 0
-    worst_set: tuple[int, ...] = ()
+    spec, s, den = walk.spec, walk.spec.s, walk.den
+    points = _slice_codes(spec)[0]
     subsets = [
         T for size in range(1, k + 1) for T in itertools.combinations(range(spec.n), size)
     ]
-    for i in row_indices:
-        row = walk.rows[i]
-        support = [(points[j], v) for j, v in row.items()]
-        for T in subsets:
-            marg: dict[tuple[int, ...], Fraction] = {}
-            for pt, v in support:
-                key = tuple(pt[t] for t in T)
-                marg[key] = marg.get(key, Fraction(0)) + v
-            cells = spec.s ** len(T)
-            u = Fraction(1, cells)
-            sd = sum((abs(p - u) for p in marg.values()), Fraction(0))
-            sd += (cells - len(marg)) * u
-            sd = sd / 2
-            if sd > worst:
-                worst, worst_row, worst_set = sd, i, T
-    return IndependenceReport(k=k, epsilon=worst, worst_row=worst_row, worst_set=worst_set)
+    stop = walk.indptr[-1] if rows == "all" else walk.indptr[1]
+    n_rows = walk.size if rows == "all" else 1
+    row_ids, cols, num = walk.row_ids()[:stop], walk.indices[:stop], walk.num[:stop]
+    # with p = S/den and u = 1/cells, 2 * sd = sum_cells |S * cells - den| / (den * cells);
+    # scaling by s^(k-|T|) puts every subset over the denominator 2 * den * s^k
+    total = int(np.abs(num).sum()) if len(num) else 0
+    dtype = _int_dtype(s**k * (total + den) + 1)
+    num = num.astype(dtype)
+    scores = np.zeros((n_rows, len(subsets)), dtype=dtype)
+    for t, T in enumerate(subsets):
+        cells = s ** len(T)
+        cell = points[:, list(T)].astype(np.int64) @ (s ** np.arange(len(T) - 1, -1, -1))
+        mass = np.zeros(n_rows * cells, dtype=dtype)
+        np.add.at(mass, row_ids * cells + cell[cols], num)
+        gap = np.abs(mass.reshape(n_rows, cells) * cells - den).sum(axis=1)
+        scores[:, t] = gap * s ** (k - len(T))
+    flat = scores.ravel()
+    best = int(np.argmax(flat)) if len(flat) else 0
+    if not len(flat) or flat[best] <= 0:
+        return IndependenceReport(k=k, epsilon=Fraction(0), worst_row=0, worst_set=())
+    row, t = divmod(best, len(subsets))
+    return IndependenceReport(
+        k=k,
+        epsilon=Fraction(int(flat[best]), 2 * den * s**k),
+        worst_row=row,
+        worst_set=subsets[t],
+    )
 
 
 @dataclass
@@ -456,14 +569,10 @@ def expander_mixing_check(
         if report.lambda2 is None:
             raise ValueError("mixing check needs a symmetric walk or explicit lambda2")
         lambda2 = report.lambda2
-    in_u = set(chosen)
-    lhs = Fraction(0)
-    for i in chosen:
-        row = walk.rows[i]
-        for j, v in row.items():
-            if j in in_u:
-                lhs += v
-    lhs = lhs / n_points
+    in_u = np.zeros(n_points, dtype=bool)
+    in_u[chosen] = True
+    inside = in_u[walk.row_ids()] & in_u[walk.indices]
+    lhs = Fraction(int(walk.num[inside].sum()), walk.den * n_points)
     density = Fraction(len(chosen), n_points)
     rhs = float(density) ** 2 + lambda2 * float(density)
     return MixingCheck(

@@ -2,6 +2,7 @@
 library's own construction paths (brute force, closed forms, simulation)."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,13 @@ import numpy as np
 from multislice.budget import check_capacity
 from multislice.correction import FunctionOracle, _plurality
 from multislice.juntas import enumerate_polynomials, monomials_up_to
-from multislice.slices import SliceSpec, enumerate_slice, multinomial
+from multislice.slices import (
+    SliceSpec,
+    apply_permutation,
+    enumerate_slice,
+    multinomial,
+    rank_index,
+)
 from multislice.subgrids import _grid_matrix, random_subgrid
 
 
@@ -228,3 +235,149 @@ def torsion_correct_scalar(f, scheme, rng, x=None):
         if c:
             total = group.add(total, group.scale(value, c))
     return total
+
+
+# ---------------------------------------------------------------------------
+# the walk layer on Fraction rows: one {column rank: Fraction} dict per row,
+# the reference for the integer CSR walks
+
+
+@dataclass
+class FractionWalk:
+    spec: SliceSpec
+    rows: tuple[dict[int, Fraction], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.rows[i].get(j, Fraction(0))
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.size, self.size))
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                out[i, j] = float(v)
+        return out
+
+    def transpose(self) -> "FractionWalk":
+        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.size)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return FractionWalk(self.spec, tuple(cols))
+
+    def is_stochastic(self) -> bool:
+        one = Fraction(1)
+        return all(sum(row.values(), Fraction(0)) == one for row in self.rows)
+
+    def is_doubly_stochastic(self) -> bool:
+        if not self.is_stochastic():
+            return False
+        col_sums = [Fraction(0)] * self.size
+        for row in self.rows:
+            for j, v in row.items():
+                col_sums[j] += v
+        return all(c == 1 for c in col_sums)
+
+    def is_symmetric(self) -> bool:
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                if self.rows[j].get(i, Fraction(0)) != v:
+                    return False
+        return True
+
+
+def fraction_walk_from_terms(spec: SliceSpec, terms) -> FractionWalk:
+    """sum_i alpha_i W_{delta_i}, one neighbour at a time: every arrangement
+    of each letter class, ranked through ``rank_index``."""
+    s, m, n = spec.s, spec.m, spec.n
+    points = enumerate_slice(spec)
+    ranks = rank_index(spec)
+    rows_out: list[dict[int, Fraction]] = [dict() for _ in points]
+    for alpha, delta in terms:
+        arrangements = [enumerate_slice(SliceSpec(s, m, tuple(row))) for row in delta]
+        weight = Fraction(alpha) / len(list(itertools.product(*arrangements)))
+        for idx, a in enumerate(points):
+            positions: list[list[int]] = [[] for _ in range(s)]
+            for i, v in enumerate(a):
+                positions[v].append(i)
+            row = rows_out[idx]
+            for combo in itertools.product(*arrangements):
+                b = bytearray(n)
+                for sigma in range(s):
+                    for t, p in enumerate(positions[sigma]):
+                        b[p] = combo[sigma][t]
+                r = ranks[bytes(b)]
+                row[r] = row.get(r, Fraction(0)) + weight
+    return FractionWalk(spec, tuple(rows_out))
+
+
+def respects_symmetries_fraction(walk: FractionWalk, exhaustive: bool, rng=None, trials: int = 0):
+    """(checked, violations): all n! permutations row by row, or ``trials``
+    sampled (pi, a, b) triples drawn as permutation, then a, then b."""
+    points = enumerate_slice(walk.spec)
+    ranks = rank_index(walk.spec)
+    checked = violations = 0
+    if exhaustive:
+        for pi in itertools.permutations(range(walk.spec.n)):
+            index_map = [ranks[apply_permutation(pi, x)] for x in points]
+            checked += 1
+            for i, row in enumerate(walk.rows):
+                target = walk.rows[index_map[i]]
+                if len(target) != len(row) or any(
+                    target.get(index_map[j]) != v for j, v in row.items()
+                ):
+                    violations += 1
+                    break
+        return checked, violations
+    for _ in range(trials):
+        pi = tuple(int(v) for v in rng.permutation(walk.spec.n))
+        i = int(rng.integers(len(points)))
+        j = int(rng.integers(len(points)))
+        pi_i = ranks[apply_permutation(pi, points[i])]
+        pi_j = ranks[apply_permutation(pi, points[j])]
+        checked += 1
+        if walk.entry(pi_i, pi_j) != walk.entry(i, j):
+            violations += 1
+    return checked, violations
+
+
+def independence_report_fraction(walk: FractionWalk, k: int, rows: str):
+    """(epsilon, worst_row, worst_set): every marginal summed in Fractions,
+    the first strict maximum in (row, subset) order."""
+    spec = walk.spec
+    points = enumerate_slice(spec)
+    worst = Fraction(0)
+    worst_row = 0
+    worst_set: tuple[int, ...] = ()
+    subsets = [
+        T for size in range(1, k + 1) for T in itertools.combinations(range(spec.n), size)
+    ]
+    for i in range(len(points)) if rows == "all" else [0]:
+        support = [(points[j], v) for j, v in walk.rows[i].items()]
+        for T in subsets:
+            marg: dict[tuple[int, ...], Fraction] = {}
+            for pt, v in support:
+                key = tuple(pt[t] for t in T)
+                marg[key] = marg.get(key, Fraction(0)) + v
+            cells = spec.s ** len(T)
+            u = Fraction(1, cells)
+            sd = sum((abs(p - u) for p in marg.values()), Fraction(0))
+            sd += (cells - len(marg)) * u
+            sd = sd / 2
+            if sd > worst:
+                worst, worst_row, worst_set = sd, i, T
+    return worst, worst_row, worst_set
+
+
+def mixing_lhs_fraction(walk: FractionWalk, subset) -> Fraction:
+    """Pr[a in U and b in U] for a uniform and b one step from a."""
+    in_u = set(subset)
+    lhs = Fraction(0)
+    for i in sorted(in_u):
+        for j, v in walk.rows[i].items():
+            if j in in_u:
+                lhs += v
+    return lhs / walk.size

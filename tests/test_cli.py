@@ -224,6 +224,16 @@ def test_correct_rejects_bad_rate(capsys):
     assert "rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["base", "recursive"])
+def test_gadget_correctors_without_rho_exit_2_naming_the_flag(capsys, alg):
+    argv = ["correct", "--alg", alg, "--s", "2", "--n", "32", "--d", "1",
+            "--rate", "0.01", "--trials", "5", "--seed", "7"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--rho" in err
+    assert "Traceback" not in err
+
+
 def test_correct_capacity_overrun_exits_3(capsys):
     argv = ["correct", "--alg", "subgrid", "--s", "2", "--d", "1", "--n", "30",
             "--k", "25", "--trials", "2"]

@@ -259,7 +259,7 @@ def test_symmetry_check_exhaustive_and_tampered():
     j1, j2 = sorted(rows[0])[:2]
     rows[0][j1] += Fraction(1, 4)
     rows[0][j2] -= Fraction(1, 4)
-    bad = WalkMatrix(SPEC24, tuple(rows))
+    bad = WalkMatrix.from_rows(SPEC24, tuple(rows))
     assert bad.is_stochastic()
     assert not respects_symmetries(bad).ok
 
