@@ -6,6 +6,7 @@ from .correction import (
     NoisyOracle,
     build_gadget,
     build_interpolating_set,
+    subgrid_decode,
     subgrid_error_reduce,
     torsion_correct,
     torsion_scheme,
@@ -63,6 +64,7 @@ __all__ = [
     "sampling_deviation",
     "slice_size",
     "spectral_report",
+    "subgrid_decode",
     "subgrid_error_reduce",
     "torsion_correct",
     "torsion_scheme",

@@ -924,7 +924,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ConstructionFailure, SearchFailure) as exc:
+    except (ConstructionFailure, SearchFailure, ArithmeticError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
     return 0

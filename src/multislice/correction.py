@@ -11,9 +11,10 @@ The pipeline, bottom to top:
   so querying at the shifted points turns adversarial error into near-uniform
   error; three votes and a plurality cut the error rate further, and the
   construction composes with itself.
-* ``subgrid_error_reduce`` — restrict the oracle to a random anchored subgrid,
-  brute-force the unique codeword within half the minimum distance, read off
-  the corrected value.
+* ``subgrid_decode`` / ``subgrid_error_reduce`` — restrict the oracle to a
+  random anchored subgrid, brute-force the unique codeword within half the
+  minimum distance, read off the corrected value; on a decoding failure the
+  first returns None and the second the group identity.
 * ``hitting_set`` / ``build_interpolating_set`` — weight-balanced point sets
   in the boolean cube from which a degree-d junta-sum's value at the all-ones
   point can be interpolated with integer coefficients, over every abelian
@@ -44,12 +45,13 @@ from .fields import prime_factorization
 from .groups import AbelianGroup
 from .juntas import (
     JuntaPolynomial,
+    _grid_indicators,
     grid_points,
     monomials_up_to,
 )
 from .seeding import derive_rng
 from .snf import RowEchelon, solve_integer, unimodular_certificate
-from .subgrids import _grid_matrix, random_subgrid
+from .subgrids import random_subgrid
 
 
 class SearchFailure(RuntimeError):
@@ -472,11 +474,7 @@ def _codebook(s: int, k: int, d: int, group: AbelianGroup) -> Codebook:
     order = group.order
     total = order ** len(monos)
     check_capacity(total * s**k, "decoding codebook")
-    grid = _grid_matrix(s, k)
-    indicators = np.array(
-        [(grid[:, [i for i, _ in mono]] == [a for _, a in mono]).all(axis=1)
-         for mono in monos]
-    )
+    indicators = _grid_indicators(s, k, monos)
     places = order ** np.arange(len(monos) - 1, -1, -1, dtype=np.int64)
     coefficients = (np.arange(total, dtype=np.int64)[:, None] // places) % order
     element_digits = group.from_index_many(np.arange(order))
@@ -515,12 +513,12 @@ def brute_force_unique_decode(
     return book.polynomial(int(hits[0]))
 
 
-def subgrid_error_reduce(f, a, k: int, d: int, rng) -> tuple:
+def subgrid_decode(f, a, k: int, d: int, rng) -> Optional[tuple]:
     """Correct f at a by decoding on a random k-dimensional subgrid through a.
 
     Queries the s^k subgrid points, finds the unique codeword within
     1/(2 s^d), and returns its value at the subgrid origin (which the anchored
-    permutations map to a); on decoding failure returns the group identity.
+    permutations map to a); returns None when no unique codeword is that close.
     """
     a = bytes(a)
     if len(a) != f.n:
@@ -529,9 +527,14 @@ def subgrid_error_reduce(f, a, k: int, d: int, rng) -> tuple:
     decoded = brute_force_unique_decode(
         f.query_many(sub.embed_all()), f.s, k, d, f.group, Fraction(1, 2 * f.s**d)
     )
-    if decoded is None:
-        return f.group.zero
-    return decoded.evaluate(bytes(k))
+    return None if decoded is None else decoded.evaluate(bytes(k))
+
+
+def subgrid_error_reduce(f, a, k: int, d: int, rng) -> tuple:
+    """:func:`subgrid_decode`, with the group identity in place of a decoding
+    failure."""
+    value = subgrid_decode(f, a, k, d, rng)
+    return f.group.zero if value is None else value
 
 
 # ---------------------------------------------------------------------------

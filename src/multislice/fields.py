@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .budget import check_capacity
-from .juntas import odlsz_delta
+from .juntas import _min_span_weight, odlsz_delta
 from .slices import SliceSpec, enumerate_slice
 
 
@@ -93,12 +95,16 @@ def field_monomials(p: int, n: int, d: int) -> list[Exponents]:
     return out
 
 
-def enumerate_field_polynomials(p: int, n: int, d: int):
-    """Yield every polynomial of total degree <= d (including zero)."""
-    monos = field_monomials(p, n, d)
-    check_capacity(p ** len(monos), "field polynomial enumeration")
-    for combo in itertools.product(range(p), repeat=len(monos)):
-        yield FieldPolynomial(p, n, dict(zip(monos, combo)))
+def _monomial_values(p: int, n: int, exponents: Sequence[Exponents], domain) -> np.ndarray:
+    """The (len(exponents), len(domain)) int64 array of monomial values mod p."""
+    domain = np.array([list(x) for x in domain], dtype=np.int64).reshape(len(domain), n)
+    powers = np.array([[pow(v, e, p) for e in range(p)] for v in range(p)], dtype=np.int64)
+    values = np.ones((len(exponents), len(domain)), dtype=np.int64)
+    for row, exps in zip(values, exponents):
+        for i, e in enumerate(exps):
+            if e:
+                row[:] = row * powers[domain[:, i], e] % p
+    return values
 
 
 def min_nonzero_fraction(
@@ -114,7 +120,10 @@ def min_nonzero_fraction(
     or (with ``on_slice``) over polynomials nonzero somewhere on the balanced
     multislice, counting only slice points.
 
-    Exhaustive mode enumerates the family; sampled mode draws random
+    A polynomial's values on the domain are its coefficient vector times the
+    matrix of monomial values, mod p.  Exhaustive mode finds the lightest
+    nonzero vector in that matrix's F_p row space (the whole family, through
+    :func:`multislice.juntas._min_span_weight`); sampled mode draws random
     coefficient vectors and reports the minimum seen (an upper bound).
     """
     if on_slice:
@@ -123,33 +132,25 @@ def min_nonzero_fraction(
     else:
         check_capacity(p**n * max(n, 1), "grid scan")
         domain = [tuple(x) for x in itertools.product(range(p), repeat=n)]
+    monos = field_monomials(p, n, d)
     if mode == "exhaustive":
-        candidates = enumerate_field_polynomials(p, n, d)
+        check_capacity(p ** len(monos), "field polynomial enumeration")
+        best = _min_span_weight(_monomial_values(p, n, monos, domain), p)
     elif mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")
-        monos = field_monomials(p, n, d)
-        candidates = (
-            FieldPolynomial(
-                p, n, {m: int(c) for m, c in zip(monos, rng.integers(0, p, len(monos)))}
-            )
-            for _ in range(samples)
-        )
+        values = _monomial_values(p, n, monos, domain)
+        best = None
+        for _ in range(samples):
+            # a zero polynomial, or one vanishing on the slice, scores 0
+            weight = int(np.count_nonzero(rng.integers(0, p, len(monos)) @ values % p))
+            if weight and (best is None or weight < best):
+                best = weight
     else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    best: Optional[Fraction] = None
-    for poly in candidates:
-        if poly.is_zero:
-            continue
-        nonzero = sum(1 for x in domain if poly.evaluate(x))
-        if on_slice and nonzero == 0:
-            continue  # vanishes identically on the slice
-        frac = Fraction(nonzero, len(domain))
-        if best is None or frac < best:
-            best = frac
     if best is None:
         raise ValueError("no eligible polynomial in the family")
-    return best
+    return Fraction(best, len(domain))
 
 
 def grid_minimum_matches_formula(p: int, n: int, d: int) -> tuple[Fraction, Fraction]:

@@ -187,6 +187,21 @@ def grid_points(s: int, n: int) -> tuple[Point, ...]:
     return tuple(bytes(x) for x in itertools.product(range(s), repeat=n))
 
 
+@lru_cache(maxsize=None)
+def _grid_matrix(s: int, k: int) -> np.ndarray:
+    """[s]^k as an (s^k, k) uint8 matrix, rows in grid_points order."""
+    pts = grid_points(s, k)
+    return np.frombuffer(b"".join(pts), dtype=np.uint8).reshape(len(pts), k)
+
+
+def _grid_indicators(s: int, n: int, monos: Sequence[Monomial]) -> np.ndarray:
+    """The (len(monos), s^n) boolean indicators of the monomials on the grid."""
+    grid = _grid_matrix(s, n)
+    return np.array(
+        [(grid[:, [i for i, _ in mono]] == [a for _, a in mono]).all(axis=1) for mono in monos]
+    ).reshape(len(monos), len(grid))
+
+
 def grid_rank(x: Sequence[int], s: int) -> int:
     r = 0
     for v in x:
@@ -221,12 +236,6 @@ def from_truth_table(
         if acc != zero:
             coeffs[supp] = acc
     return JuntaPolynomial(s, n, group, coeffs)
-
-
-def is_degree_at_most(
-    s: int, n: int, group: AbelianGroup, table: Sequence[tuple[int, ...]], d: int
-) -> bool:
-    return from_truth_table(s, n, group, table).junta_degree() <= d
 
 
 def grid_distance(table_f: Sequence, table_g: Sequence) -> Fraction:
@@ -363,23 +372,23 @@ def enumerate_polynomials(s: int, n: int, d: int, group: AbelianGroup):
 
 def grid_min_nonzero(s: int, n: int, d: int, group: AbelianGroup) -> tuple[int, int]:
     """Exhaustive minimum, over nonzero degree-<=d polynomials, of the number
-    of grid points where they are nonzero; returns (minimum, #polynomials)."""
-    zero = group.zero
-    best = None
-    count = 0
-    for p in enumerate_polynomials(s, n, d, group):
-        if p.is_zero:
-            continue
-        count += 1
-        nz = sum(1 for v in p.truth_table() if v != zero)
-        if best is None or nz < best:
-            best = nz
-    if best is None:
+    of grid points where they are nonzero; returns (minimum, #polynomials).
+
+    A polynomial's support is the union of its components' supports, one per
+    cyclic factor Z_q, so the minimum is taken over single components: the
+    lightest nonzero vector in the Z_q span of the monomial indicators on the
+    grid, for each distinct factor q > 1.
+    """
+    monos = monomials_up_to(s, n, d)
+    check_capacity(group.order ** len(monos), "junta-polynomial enumeration")
+    moduli = {q for q in group.factors if q > 1}
+    if not monos or not moduli:
         raise ValueError("no nonzero polynomials in the family")
-    return best, count
-
-
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+    rows = _grid_indicators(s, n, monos)
+    weights = [_min_span_weight(rows, q) for q in moduli]
+    if None in weights:  # only an empty grid has no nonzero polynomial here
+        raise ValueError("no nonzero polynomials in the family")
+    return min(weights), group.order ** len(monos) - 1
 
 
 def min_slice_nonzero_prime(s: int, n: int, d: int, p: int) -> tuple[int, int]:
@@ -387,53 +396,86 @@ def min_slice_nonzero_prime(s: int, n: int, d: int, p: int) -> tuple[int, int]:
     with Z_p coefficients that are nonzero somewhere on the balanced slice.
 
     Distinct polynomials with the same slice restriction share their count, so
-    the scan runs over the (possibly much smaller) space of restrictions: a
-    meet-in-the-middle walk over the F_p row space of the monomial restriction
-    matrix.  Returns (minimum count, number of nonzero restrictions).
+    the scan runs over the (possibly much smaller) space of restrictions: the
+    F_p row space of the monomial restriction matrix, reduced to a basis and
+    searched by :func:`_min_span_weight`.  Returns (minimum count, number of
+    nonzero restrictions).
     """
     points = enumerate_slice(SliceSpec.balanced(s, n))
     echelon = RowEchelon(p)
     for mono in monomials_up_to(s, n, d):
         echelon.add([monomial_value(mono, x) for x in points])
-    r, width = echelon.rank, len(points)
-    total = p**r - 1
+    r = echelon.rank
     if r == 0:
         raise ValueError("every polynomial in the family vanishes on the slice")
-    basis = np.array(echelon.rows, dtype=np.int64)
     check_capacity(p**r, "slice restriction scan")
-    half = r // 2
-    lo = _span_table(basis[:half], p)
-    hi = _span_table(basis[half:], p)
-    if p == 2:
-        lo_bits = np.packbits(lo.astype(np.uint8), axis=1)
-        hi_bits = np.packbits(hi.astype(np.uint8), axis=1)
-        best = width + 1
-        for i in range(lo_bits.shape[0]):
-            x = np.bitwise_xor(hi_bits, lo_bits[i])
-            counts = _POPCOUNT[x].sum(axis=1)
-            if i == 0:
-                counts[0] = width + 1  # the zero restriction
-            m = int(counts.min())
-            if m < best:
-                best = m
-        return best, total
-    best = width + 1
-    for i in range(lo.shape[0]):
-        combined = (hi + lo[i]) % p
-        counts = np.count_nonzero(combined, axis=1)
-        if i == 0:
-            counts[0] = width + 1
-        m = int(counts.min())
-        if m < best:
-            best = m
-    return best, total
+    return _min_span_weight(np.array(echelon.rows, dtype=np.int64), p), p**r - 1
 
 
-def _span_table(basis: np.ndarray, p: int) -> np.ndarray:
-    """All F_p combinations of the given rows, zero combination first."""
-    width = basis.shape[1]
-    table = np.zeros((1, width), dtype=np.int64)
+# cells (pairs of low-half and high-half combinations) compared per block; the
+# block's temporaries, not the span's size, set the scan's memory
+_BLOCK_CELLS = 1 << 16
+
+
+def _min_span_weight(rows, q: int) -> Optional[int]:
+    """The fewest nonzero entries of a nonzero vector c @ rows mod q, over all
+    c in Z_q^k, or None when every such vector is zero.
+
+    Meet in the middle: every combination of the low half of the rows is paired
+    with every combination of the high half, block by block, and a block's
+    weights are accumulated column by column.  For q = 2 the rows are packed
+    into 64-bit words, so a column is a word and the weight of a sum is the
+    popcount of an XOR; for q > 2 the high half is stored negated, so that an
+    entry of the sum is nonzero exactly when the two halves' entries differ.
+    Zero sums (the empty combination, and any dependent ones) are skipped.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % q
+    width = rows.shape[1]
+    half = len(rows) // 2
+    lo = _span_table(rows[:half], q)
+    hi = _span_table(rows[half:], q)
+    if q == 2:
+        pad = -width % 64
+        lo, hi = (np.packbits(np.pad(t, ((0, 0), (0, pad))), axis=1).view(np.uint64)
+                  for t in (lo, hi))
+
+        def mismatches(a, b):
+            return np.bitwise_count(a ^ b)
+    else:
+        hi = (q - hi) % q
+        small = np.min_scalar_type(q - 1)
+        lo, hi = lo.astype(small), hi.astype(small)
+        mismatches = np.not_equal
+    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+    count_type = np.min_scalar_type(width)
+    hi_step = min(hi.shape[1], _BLOCK_CELLS)
+    lo_step = max(1, _BLOCK_CELLS // hi_step)
+    best = None
+    for h in range(0, hi.shape[1], hi_step):
+        hi_block = hi[:, h:h + hi_step]
+        for start in range(0, lo.shape[1], lo_step):
+            lo_block = lo[:, start:start + lo_step, None]
+            counts = np.zeros((lo_block.shape[1], hi_block.shape[1]), dtype=count_type)
+            for a, b in zip(lo_block, hi_block):
+                counts += mismatches(a, b)
+            least = int(counts.min())
+            if least == 0:  # a zero sum, skipped
+                nonzero = counts[counts > 0]
+                if not nonzero.size:
+                    continue
+                least = int(nonzero.min())
+            if best is None or least < best:
+                best = least
+    return best
+
+
+def _span_table(basis: np.ndarray, q: int) -> np.ndarray:
+    """All Z_q combinations of the given rows (entries in 0..q-1), zero
+    combination first, in the smallest unsigned dtype that holds a sum of
+    two entries."""
+    dtype = np.min_scalar_type(2 * (q - 1))
+    table = np.zeros((1, basis.shape[1]), dtype=dtype)
     for row in basis:
-        layers = [table] + [(table + c * row) % p for c in range(1, p)]
-        table = np.concatenate(layers, axis=0)
+        multiples = [(c * row % q).astype(dtype) for c in range(1, q)]
+        table = np.concatenate([table] + [(table + m) % q for m in multiples], axis=0)
     return table

@@ -20,18 +20,11 @@ exactly — so that is the form used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .juntas import grid_points
-
-
-@lru_cache(maxsize=None)
-def _grid_matrix(s: int, k: int) -> np.ndarray:
-    """[s]^k as an (s^k, k) uint8 matrix, rows in grid_points order."""
-    pts = grid_points(s, k)
-    return np.frombuffer(b"".join(pts), dtype=np.uint8).reshape(len(pts), k)
+from .juntas import _grid_matrix
 
 
 def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:

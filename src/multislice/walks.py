@@ -393,14 +393,18 @@ class SpectralReport:
 
 
 def cluster_values(values, tol: float = 1e-8) -> list[tuple[float, int]]:
-    """Group a descending array into (representative, count) clusters."""
+    """Group a descending array into (representative, count) clusters.
+
+    A representative within ``tol`` of 0 is reported as exactly 0.0: its digits
+    are rounding noise, which depends on how the eigensolver splits its work
+    across threads."""
     out: list[tuple[float, int]] = []
     for v in values:
         if out and abs(out[-1][0] - v) <= tol:
             out[-1] = (out[-1][0], out[-1][1] + 1)
         else:
             out.append((float(v), 1))
-    return out
+    return [(0.0 if abs(v) <= tol else v, count) for v, count in out]
 
 
 def spectral_report(walk: WalkMatrix, tol: float = 1e-8) -> SpectralReport:

@@ -9,7 +9,13 @@ import numpy as np
 
 from multislice.budget import check_capacity
 from multislice.correction import FunctionOracle, _plurality
-from multislice.juntas import enumerate_polynomials, monomials_up_to
+from multislice.fields import FieldPolynomial, field_monomials
+from multislice.juntas import (
+    _grid_matrix,
+    enumerate_polynomials,
+    monomial_value,
+    monomials_up_to,
+)
 from multislice.slices import (
     SliceSpec,
     apply_permutation,
@@ -17,7 +23,8 @@ from multislice.slices import (
     multinomial,
     rank_index,
 )
-from multislice.subgrids import _grid_matrix, random_subgrid
+from multislice.snf import RowEchelon
+from multislice.subgrids import random_subgrid
 
 
 def odlsz_exhaustive_row(a: bytes, s: int) -> dict[bytes, Fraction]:
@@ -381,3 +388,122 @@ def mixing_lhs_fraction(walk: FractionWalk, subset) -> Fraction:
             if j in in_u:
                 lhs += v
     return lhs / walk.size
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the exhaustive distance scans: every polynomial built
+# and evaluated point by point
+
+
+def grid_min_nonzero_scalar(s: int, n: int, d: int, group) -> tuple[int, int]:
+    zero = group.zero
+    best = None
+    count = 0
+    for p in enumerate_polynomials(s, n, d, group):
+        if p.is_zero:
+            continue
+        count += 1
+        nz = sum(1 for v in p.truth_table() if v != zero)
+        if best is None or nz < best:
+            best = nz
+    if best is None:
+        raise ValueError("no nonzero polynomials in the family")
+    return best, count
+
+
+def _span_table_int64(basis: np.ndarray, p: int) -> np.ndarray:
+    width = basis.shape[1]
+    table = np.zeros((1, width), dtype=np.int64)
+    for row in basis:
+        layers = [table] + [(table + c * row) % p for c in range(1, p)]
+        table = np.concatenate(layers, axis=0)
+    return table
+
+
+def min_slice_nonzero_prime_scalar(s: int, n: int, d: int, p: int) -> tuple[int, int]:
+    """Meet in the middle with one numpy pass per low-half combination."""
+    points = enumerate_slice(SliceSpec.balanced(s, n))
+    echelon = RowEchelon(p)
+    for mono in monomials_up_to(s, n, d):
+        echelon.add([monomial_value(mono, x) for x in points])
+    r, width = echelon.rank, len(points)
+    total = p**r - 1
+    if r == 0:
+        raise ValueError("every polynomial in the family vanishes on the slice")
+    basis = np.array(echelon.rows, dtype=np.int64)
+    check_capacity(p**r, "slice restriction scan")
+    half = r // 2
+    lo = _span_table_int64(basis[:half], p)
+    hi = _span_table_int64(basis[half:], p)
+    if p == 2:
+        lo_bits = np.packbits(lo.astype(np.uint8), axis=1)
+        hi_bits = np.packbits(hi.astype(np.uint8), axis=1)
+        best = width + 1
+        for i in range(lo_bits.shape[0]):
+            x = np.bitwise_xor(hi_bits, lo_bits[i])
+            counts = np.unpackbits(x, axis=1).sum(axis=1)
+            if i == 0:
+                counts[0] = width + 1  # the zero restriction
+            best = min(best, int(counts.min()))
+        return best, total
+    best = width + 1
+    for i in range(lo.shape[0]):
+        counts = np.count_nonzero((hi + lo[i]) % p, axis=1)
+        if i == 0:
+            counts[0] = width + 1
+        best = min(best, int(counts.min()))
+    return best, total
+
+
+def enumerate_field_polynomials(p: int, n: int, d: int):
+    """Yield every polynomial of total degree <= d (including zero)."""
+    monos = field_monomials(p, n, d)
+    check_capacity(p ** len(monos), "field polynomial enumeration")
+    for combo in itertools.product(range(p), repeat=len(monos)):
+        yield FieldPolynomial(p, n, dict(zip(monos, combo)))
+
+
+def min_nonzero_fraction_scalar(p: int, n: int, d: int, mode: str = "exhaustive",
+                                on_slice: bool = False, rng=None, samples: int = 1000):
+    if on_slice:
+        domain = enumerate_slice(SliceSpec.balanced(p, n))
+    else:
+        check_capacity(p**n * max(n, 1), "grid scan")
+        domain = [tuple(x) for x in itertools.product(range(p), repeat=n)]
+    if mode == "exhaustive":
+        candidates = enumerate_field_polynomials(p, n, d)
+    elif mode == "sampled":
+        if rng is None:
+            raise ValueError("sampled mode needs an rng")
+        monos = field_monomials(p, n, d)
+        candidates = (
+            FieldPolynomial(
+                p, n, {m: int(c) for m, c in zip(monos, rng.integers(0, p, len(monos)))}
+            )
+            for _ in range(samples)
+        )
+    else:
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    best = None
+    for poly in candidates:
+        if poly.is_zero:
+            continue
+        nonzero = sum(1 for x in domain if poly.evaluate(x))
+        if on_slice and nonzero == 0:
+            continue
+        frac = Fraction(nonzero, len(domain))
+        if best is None or frac < best:
+            best = frac
+    if best is None:
+        raise ValueError("no eligible polynomial in the family")
+    return best
+
+
+def min_span_weight_brute(rows, q: int):
+    """The fewest nonzero entries of a nonzero c @ rows mod q, trying every c
+    in Z_q^k, or None."""
+    rows = np.asarray(rows, dtype=np.int64)
+    coeffs = np.array(list(itertools.product(range(q), repeat=len(rows))), dtype=np.int64)
+    weights = np.count_nonzero(coeffs.reshape(q ** len(rows), len(rows)) @ rows % q, axis=1)
+    weights = weights[weights > 0]
+    return int(weights.min()) if weights.size else None

@@ -1,14 +1,19 @@
 """End-to-end checks of the experiment harness: artifact schemas, exit
 codes, config-file precedence and cross-run reproducibility."""
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multislice
 from multislice.cli import (
@@ -19,6 +24,13 @@ from multislice.cli import (
     parse_group,
     wilson_interval,
 )
+
+
+def _subprocess_env():
+    """The environment, with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multislice.__file__)))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def run_csv(capsys, argv):
@@ -105,6 +117,23 @@ def test_spectra_rejects_unrealizable_profile(capsys):
     assert "column sums" in capsys.readouterr().err
 
 
+def test_spectra_artifact_does_not_depend_on_blas_threads():
+    """The README's seeded wdelta sweep prints the same table, timings
+    aside, whether the eigensolver runs on one thread or two."""
+    argv = ["spectra", "--family", "wdelta", "--s", "2", "--n", "4,8,12",
+            "--delta", "balanced", "--seed", "7"]
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**_subprocess_env(), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "multislice.cli", *argv],
+                              capture_output=True, env=env, timeout=300, check=True)
+        rows = list(csv.reader(io.StringIO(proc.stdout.decode())))
+        cut = rows[0].index("wall_time_ms")
+        table = [row[:cut] + row[cut + 1:] for row in rows]
+        digests.add(hashlib.sha256(repr(table).encode()).hexdigest())
+    assert len(digests) == 1
+
+
 def test_spectra_missing_family_exits_2(capsys):
     assert main(["spectra", "--s", "2", "--n", "4"]) == 2
     assert "family" in capsys.readouterr().err
@@ -150,6 +179,46 @@ def test_distance_junta_reaches_the_generic_minimum(capsys):
 def test_distance_rejects_composite_p(capsys):
     assert main(["distance", "--mode", "grid", "--p", "4", "--n", "2", "--d", "1"]) == 2
     assert "prime" in capsys.readouterr().err
+
+
+def test_arithmetic_error_exits_1_as_a_construction_failure(monkeypatch, capsys):
+    import multislice.cli as cli
+
+    def broken(*args):
+        raise ArithmeticError("C(k'+d, k') unexpectedly divisible by 2; scheme invalid")
+
+    monkeypatch.setattr(cli, "_cached_scheme", broken)
+    argv = ["correct", "--alg", "torsion", "--s", "2", "--n", "20", "--d", "1", "--M", "2",
+            "--trials", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("construction failed: C(k'+d, k')")
+
+
+@given(
+    mode=st.sampled_from(["grid", "junta", "multislice", "bogus"]),
+    values=st.fixed_dictionaries({
+        flag: st.one_of(st.none(), st.integers(-2, 9).map(str), st.just("x"))
+        for flag in ("s", "p", "d")
+    }),
+    n=st.one_of(st.none(), st.lists(st.integers(-2, 9), min_size=1, max_size=2)
+                .map(lambda ns: ",".join(map(str, ns)))),
+    group=st.one_of(st.none(), st.sampled_from(["Z2", "Z6", "Z2x3", "Z1", "Zq"])),
+)
+@settings(deadline=None, max_examples=150)
+def test_distance_fuzz_exits_with_a_documented_code(mode, values, n, group):
+    argv = ["distance", f"--mode={mode}"]
+    for flag, value in {**values, "n": n, "group": group}.items():
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"MULTISLICE_BUDGET": "20000"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -418,8 +487,7 @@ def test_worker_pool_is_capped_by_cpus_and_trials(monkeypatch, capsys):
 
 def test_closed_stdout_pipe_exits_1_without_a_traceback():
     """Output to a reader that has gone away, as in `multislice ... | head`."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(multislice.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = _subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child writes, so every write fails
     try:

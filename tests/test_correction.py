@@ -29,6 +29,7 @@ from multislice.correction import (
     noisy_convolution_check,
     recursive_reduce,
     rho_noisy_distribution,
+    subgrid_decode,
     subgrid_error_reduce,
     torsion_correct,
     torsion_scheme,
@@ -372,7 +373,9 @@ def test_subgrid_error_reduce_ignores_off_subgrid_corruption():
     assert subgrid_error_reduce(oracle, a, k, d, replay) == truth.evaluate(a)
 
 
-def test_subgrid_error_reduce_returns_zero_when_undecodable():
+def _undecodable_subgrid():
+    """A corrupted oracle, an anchor and a seed key whose subgrid table lies
+    outside the unique-decoding radius of every codeword."""
     s, n, k, d = 2, 10, 4, 1
     truth = random_polynomial(s, n, d, Z2, derive_rng(37, "truth"))
     a = b"\x00\x01\x01\x00\x00\x01\x00\x01\x01\x00"
@@ -402,8 +405,28 @@ def test_subgrid_error_reduce_returns_zero_when_undecodable():
         > 3
     )
     oracle = NoisyOracle.with_flips(truth, [pts[i] for i in flips])
-    replay = derive_rng(37, "run", trial)
+    return oracle, a, k, d, (37, "run", trial)
+
+
+def test_subgrid_error_reduce_returns_zero_when_undecodable():
+    oracle, a, k, d, key = _undecodable_subgrid()
+    replay = derive_rng(*key)
     assert subgrid_error_reduce(oracle, a, k, d, replay) == Z2.zero
+
+
+def test_subgrid_decode_reports_the_failure_that_reduce_hides():
+    oracle, a, k, d, key = _undecodable_subgrid()
+    decode_rng, reduce_rng = derive_rng(*key), derive_rng(*key)
+    assert subgrid_decode(oracle, a, k, d, decode_rng) is None
+    decode_queries = oracle.queries
+    assert subgrid_error_reduce(oracle, a, k, d, reduce_rng) == Z2.zero
+    assert oracle.queries == 2 * decode_queries == 2 * 2**k
+    assert decode_rng.integers(0, 2**62) == reduce_rng.integers(0, 2**62)
+    # on a clean oracle the two agree on the decoded value
+    clean = NoisyOracle.exact(oracle.truth)
+    rng, replay = derive_rng(*key), derive_rng(*key)
+    assert subgrid_decode(clean, a, k, d, rng) == oracle.truth.evaluate(a)
+    assert subgrid_error_reduce(clean, a, k, d, replay) == oracle.truth.evaluate(a)
 
 
 # ---------------------------------------------------------------------------

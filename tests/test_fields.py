@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import enumerate_field_polynomials
 from multislice.fields import (
     FieldPolynomial,
-    enumerate_field_polynomials,
     field_monomials,
     grid_minimum_matches_formula,
     is_prime,

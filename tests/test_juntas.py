@@ -17,7 +17,6 @@ from multislice.juntas import (
     grid_min_nonzero,
     grid_points,
     grid_rank,
-    is_degree_at_most,
     min_slice_nonzero_prime,
     monomial_value,
     monomials_up_to,
@@ -101,13 +100,12 @@ def test_round_trip_on_random_polynomials():
         assert from_truth_table(3, 4, Z4, p.truth_table()) == p
 
 
-def test_is_degree_at_most():
+def test_junta_degree_from_truth_table():
     rng = derive_rng(6, "degree")
     p = random_polynomial(2, 4, 1, Z2, rng)
-    table = p.truth_table()
-    assert is_degree_at_most(2, 4, Z2, table, 1)
+    assert from_truth_table(2, 4, Z2, p.truth_table()).junta_degree() <= 1
     bump = p + JuntaPolynomial(2, 4, Z2, {((0, 1), (1, 1)): (1,)})
-    assert not is_degree_at_most(2, 4, Z2, bump.truth_table(), 1)
+    assert from_truth_table(2, 4, Z2, bump.truth_table()).junta_degree() == 2
     assert bump.junta_degree() == 2
 
 
